@@ -364,8 +364,6 @@ fn cache_stats_json(cache: &CacheStats) -> String {
     ObjectBuilder::new()
         .uint("hits", cache.hits)
         .uint("misses", cache.misses)
-        .uint("messages_reused", cache.messages_reused)
-        .uint("messages_recomputed", cache.messages_recomputed)
         .uint("compiles", cache.compiles)
         .uint("warm_starts", cache.warm_starts)
         .uint("cold_starts", cache.cold_starts)

@@ -7,9 +7,9 @@
 //! the perf gate compares against that record.
 //!
 //! Before anything is timed, a bit-identity gate evaluates a
-//! mixed-permutation grid at jobs 1, 2 and 8 and asserts results — and,
-//! for the permutation-free distinct-key prefix, the full `CacheStats`
-//! — are identical. CI runs this gate via `--test`.
+//! permutation-free and a mixed-permutation grid at jobs 1, 2 and 8 and
+//! asserts that results and the full `CacheStats` are identical. CI
+//! runs this gate via `--test`.
 
 use carta_bench::{case_study, scale_batch_1k, scale_perms, scale_point};
 use carta_can::prelude::{CompiledBus, RtaWorkspace, SolvePoint};
@@ -17,9 +17,8 @@ use carta_engine::prelude::{BaseSystem, Evaluator, Parallelism, Scenario, System
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-/// Results (and, without permutations, cache statistics) must not
-/// depend on the worker count — the contract every timed row below
-/// rides on.
+/// Results and cache statistics must not depend on the worker count —
+/// the contract every timed row below rides on.
 fn assert_jobs_invariance() {
     let base = BaseSystem::new(case_study());
     let perms = scale_perms(base.network().messages().len(), 2);
@@ -29,36 +28,23 @@ fn assert_jobs_invariance() {
     let mixed: Vec<SystemVariant> = (0..192)
         .map(|i| scale_point(&base, &perms, 24, 4, i))
         .collect();
-    let mut plain_ref = None;
-    let mut mixed_ref = None;
-    for jobs in [1usize, 2, 8] {
-        let eval = Evaluator::new(Parallelism::new(jobs));
-        let out = eval.evaluate_batch(&plain);
-        let stats = eval.stats();
-        match &plain_ref {
-            None => plain_ref = Some((out, stats)),
-            Some((ref_out, ref_stats)) => {
-                assert_eq!(&stats, ref_stats, "stats diverged at jobs={jobs}");
-                for (a, b) in out.iter().zip(ref_out) {
-                    assert_eq!(
-                        a.as_ref().expect("valid"),
-                        b.as_ref().expect("valid"),
-                        "plain grid diverged at jobs={jobs}"
-                    );
-                }
-            }
-        }
-        let eval = Evaluator::new(Parallelism::new(jobs));
-        let out = eval.evaluate_batch(&mixed);
-        match &mixed_ref {
-            None => mixed_ref = Some(out),
-            Some(ref_out) => {
-                for (a, b) in out.iter().zip(ref_out) {
-                    assert_eq!(
-                        a.as_ref().expect("valid"),
-                        b.as_ref().expect("valid"),
-                        "permuted grid diverged at jobs={jobs}"
-                    );
+    for (name, grid) in [("plain", &plain), ("permuted", &mixed)] {
+        let mut reference = None;
+        for jobs in [1usize, 2, 8] {
+            let eval = Evaluator::new(Parallelism::new(jobs));
+            let out = eval.evaluate_batch(grid);
+            let stats = eval.stats();
+            match &reference {
+                None => reference = Some((out, stats)),
+                Some((ref_out, ref_stats)) => {
+                    assert_eq!(&stats, ref_stats, "{name} stats diverged at jobs={jobs}");
+                    for (a, b) in out.iter().zip(ref_out) {
+                        assert_eq!(
+                            a.as_ref().expect("valid"),
+                            b.as_ref().expect("valid"),
+                            "{name} grid diverged at jobs={jobs}"
+                        );
+                    }
                 }
             }
         }

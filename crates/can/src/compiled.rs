@@ -76,9 +76,7 @@ use crate::error_model::ErrorModel;
 use crate::frame::{bit_time, StuffingMode};
 use crate::message::CanId;
 use crate::network::CanNetwork;
-use crate::rta::{
-    test_mutations, AnalysisConfig, BusReport, IncrementalStats, MessageReport, ResponseOutcome,
-};
+use crate::rta::{test_mutations, AnalysisConfig, BusReport, MessageReport, ResponseOutcome};
 use carta_core::analysis::{AnalysisError, DivergenceCause, MessageDiagnostic, ResponseBounds};
 use carta_core::cancel::CancelToken;
 use carta_core::event_model::EventModel;
@@ -328,7 +326,8 @@ impl CompiledBus {
             .iter()
             .map(|m| Arc::from(m.name.as_str()))
             .collect();
-        let compiled = Self::tables(net, stuffing, names);
+        let ids: Vec<CanId> = net.messages().iter().map(|m| m.id).collect();
+        let compiled = Self::tables(net, &ids, stuffing, names);
         if let Some(start) = start {
             compiled_metrics()
                 .compile_ns
@@ -337,53 +336,59 @@ impl CompiledBus {
         Ok(compiled)
     }
 
-    /// Recompiles only the identifier-dependent tables against `net`,
-    /// reusing the interned names. `net` must be the compiled network
-    /// with its identifiers re-assigned (same messages in the same
-    /// order — exactly what a permutation overlay produces); everything
-    /// else (payloads, senders, controllers, bit rate) is re-read from
-    /// `net`, so a violated contract yields wrong *performance
-    /// attribution* at worst, never a wrong report.
+    /// Recompiles the tables of `net` with message `i` carrying
+    /// `ids[i]` instead of its own identifier — exactly what a
+    /// permutation overlay produces — reusing the interned names.
+    /// `net` must be the compiled network; payloads, senders,
+    /// controllers and bit rate are re-read from it, so no permuted
+    /// copy of the network is ever materialized.
     ///
     /// The result carries a fresh epoch: warm-start state tied to the
     /// old tables is never applied to the new priority order.
     ///
     /// # Panics
     ///
-    /// Panics if `net` has a different message count.
-    pub fn reordered(&self, net: &CanNetwork) -> Self {
-        assert_eq!(
-            net.messages().len(),
-            self.names.len(),
-            "reordered() requires the compiled network with new identifiers"
+    /// Panics if `net` or `ids` has a different message count.
+    pub fn reordered(&self, net: &CanNetwork, ids: &[CanId]) -> Self {
+        assert!(
+            net.messages().len() == self.names.len() && ids.len() == self.names.len(),
+            "reordered() requires the compiled network and one identifier per message"
         );
-        Self::tables(net, self.stuffing, self.names.clone())
+        Self::tables(net, ids, self.stuffing, self.names.clone())
     }
 
-    /// Shared table construction; `net` is already validated.
-    fn tables(net: &CanNetwork, stuffing: StuffingMode, names: Vec<Arc<str>>) -> Self {
+    /// Shared table construction; `net` is already validated and
+    /// `ids[i]` is the identifier message `i` arbitrates with.
+    fn tables(
+        net: &CanNetwork,
+        ids: &[CanId],
+        stuffing: StuffingMode,
+        names: Vec<Arc<str>>,
+    ) -> Self {
         let msgs = net.messages();
         let n = msgs.len();
         let rate = net.bit_rate();
         let backend = net.backend();
-        let c_max = crate::rta::c_max_vector(net, stuffing);
+        let c_max: Vec<Time> = msgs
+            .iter()
+            .zip(ids)
+            .map(|(m, id)| backend.c_max(id.kind(), m.dlc, stuffing, rate))
+            .collect();
         let c_min: Vec<Time> = msgs
             .iter()
-            .map(|m| backend.c_min(m.id.kind(), m.dlc, rate))
+            .zip(ids)
+            .map(|(m, id)| backend.c_min(id.kind(), m.dlc, rate))
             .collect();
         let mut hp = Vec::with_capacity(n);
         let mut interference = Vec::with_capacity(n);
         let mut blocking = Vec::with_capacity(n);
         let mut per_hit = Vec::with_capacity(n);
         let error_frame = Time::from_bits(backend.backend().error_frame_bits(), rate);
+        let keys: Vec<_> = ids.iter().map(CanId::arbitration_key).collect();
         for (i, m) in msgs.iter().enumerate() {
-            let key = m.id.arbitration_key();
-            let hp_i: Vec<usize> = (0..n)
-                .filter(|&j| msgs[j].id.arbitration_key() < key)
-                .collect();
-            let lp_i: Vec<usize> = (0..n)
-                .filter(|&j| j != i && msgs[j].id.arbitration_key() > key)
-                .collect();
+            let key = keys[i];
+            let hp_i: Vec<usize> = (0..n).filter(|&j| keys[j] < key).collect();
+            let lp_i: Vec<usize> = (0..n).filter(|&j| j != i && keys[j] > key).collect();
             let interference_i: Vec<usize> = match net.controller_of(m) {
                 ControllerType::FullCan => hp_i.clone(),
                 ControllerType::BasicCan | ControllerType::FifoQueue { .. } => {
@@ -410,7 +415,7 @@ impl CompiledBus {
             bit_rate: rate,
             tau: bit_time(rate),
             names,
-            ids: msgs.iter().map(|m| m.id).collect(),
+            ids: ids.to_vec(),
             c_max,
             c_min,
             hp,
@@ -441,8 +446,8 @@ impl CompiledBus {
         self.backend
     }
 
-    /// The higher-priority index sets (see
-    /// [`crate::rta::hp_index_sets`]).
+    /// The higher-priority index sets: `hp_sets()[i]` holds the indices
+    /// of every message that out-arbitrates message `i`, ascending.
     pub fn hp_sets(&self) -> &[Vec<usize>] {
         &self.hp
     }
@@ -784,124 +789,6 @@ impl CompiledBus {
             backend: self.backend,
         })
     }
-
-    /// Priority-aware incremental solve: reuses `previous` verdicts for
-    /// messages whose higher-priority set is unchanged (the compiled
-    /// twin of [`crate::rta::analyze_bus_incremental`]; see there for
-    /// the comparability contract). Recomputed messages run cold —
-    /// exact reuse already covers the unchanged ones.
-    pub fn solve_incremental(
-        &self,
-        net: &CanNetwork,
-        errors: &dyn ErrorModel,
-        config: &AnalysisConfig,
-        previous: &BusReport,
-        previous_hp: &[Vec<usize>],
-    ) -> (BusReport, IncrementalStats) {
-        let msgs = net.messages();
-        let n = msgs.len();
-        let _span = span!("rta.bus.incremental", msgs = n);
-        let desc = errors.describe();
-        let comparable = previous.messages.len() == n
-            && previous_hp.len() == n
-            && previous.stuffing == config.stuffing
-            && previous.backend == self.backend
-            && previous.error_model == desc;
-        if !comparable {
-            let report = self.solve(net, errors, config, &mut RtaWorkspace::new());
-            let recomputed = report.messages.len();
-            return (
-                report,
-                IncrementalStats {
-                    reused: 0,
-                    recomputed,
-                },
-            );
-        }
-        // A permutation over a mixed standard/extended pool can change
-        // transmission times, which feed every message's interference
-        // sum; reuse is only sound when the whole vectors are unchanged.
-        let c_vectors_match = previous
-            .messages
-            .iter()
-            .enumerate()
-            .all(|(j, p)| p.c_max == self.c_max[j] && p.c_min == self.c_min[j]);
-        let hook = test_mutations::drop_blocking();
-        let activations: Vec<EventModel> = msgs.iter().map(|m| m.activation).collect();
-
-        let mut stats = IncrementalStats::default();
-        let mut iterations = 0u64;
-        let mut w_scratch = Vec::new();
-        let mut reports = Vec::with_capacity(n);
-        for (i, m) in msgs.iter().enumerate() {
-            let blocking = if hook { Time::ZERO } else { self.blocking[i] };
-            let deadline = m.resolved_deadline();
-            let prev = &previous.messages[i];
-            let (outcome, instances) = if c_vectors_match
-                && prev.name == self.names[i]
-                && prev.deadline == deadline
-                && self.hp[i] == previous_hp[i]
-            {
-                stats.reused += 1;
-                (prev.outcome.clone(), prev.instances)
-            } else {
-                stats.recomputed += 1;
-                match busy_window(
-                    &activations,
-                    i,
-                    &self.interference[i],
-                    &self.c_max,
-                    blocking,
-                    self.tau,
-                    errors,
-                    self.per_hit[i],
-                    config,
-                    &[],
-                    &mut w_scratch,
-                    &mut iterations,
-                ) {
-                    Ok((wcrt, q)) => (
-                        ResponseOutcome::Bounded(ResponseBounds::new(
-                            self.c_min[i],
-                            wcrt.max(self.c_min[i]),
-                        )),
-                        q,
-                    ),
-                    Err(abort) => (
-                        ResponseOutcome::Overload(self.diagnose(i, abort, metrics::enabled())),
-                        0,
-                    ),
-                }
-            };
-            reports.push(MessageReport {
-                index: i,
-                name: self.names[i].clone(),
-                id: self.ids[i],
-                c_max: self.c_max[i],
-                c_min: self.c_min[i],
-                blocking,
-                deadline,
-                outcome,
-                instances,
-            });
-        }
-        if metrics::enabled() {
-            let handles = crate::rta::rta_metrics();
-            handles.incremental_runs.inc();
-            handles.incremental_reused.add(stats.reused as u64);
-            handles.incremental_recomputed.add(stats.recomputed as u64);
-            handles.iterations.add(iterations);
-        }
-        (
-            BusReport {
-                messages: reports,
-                error_model: desc,
-                stuffing: config.stuffing,
-                backend: self.backend,
-            },
-            stats,
-        )
-    }
 }
 
 /// Abort state of an abandoned busy-window fixpoint: how far the
@@ -1184,14 +1071,27 @@ mod tests {
             msg("a", 0x100, 8, 5, 1, 0),
             msg("b", 0x140, 4, 10, 0, 1),
             msg("c", 0x180, 8, 10, 2, 0),
+            CanMessage::new(
+                "x",
+                CanId::extended(0x1F00_0000).expect("valid"),
+                Dlc::new(2),
+                Time::from_ms(20),
+                Time::ZERO,
+                1,
+            ),
         ]);
         let config = AnalysisConfig::default();
         let compiled = CompiledBus::compile(&base, config.stuffing).expect("valid");
+        // Moving the extended identifier onto `a` changes frame lengths,
+        // not only the priority order.
+        let mut ids: Vec<CanId> = base.messages().iter().map(|m| m.id).collect();
+        ids.swap(0, 2);
+        ids.swap(0, 3);
         let mut permuted = base.clone();
-        let (a, c) = (permuted.messages()[0].id, permuted.messages()[2].id);
-        permuted.messages_mut()[0].id = c;
-        permuted.messages_mut()[2].id = a;
-        let reordered = compiled.reordered(&permuted);
+        for (m, id) in permuted.messages_mut().iter_mut().zip(&ids) {
+            m.id = *id;
+        }
+        let reordered = compiled.reordered(&base, &ids);
         let errors = NoErrors;
         let fast = reordered.solve(&permuted, &errors, &config, &mut RtaWorkspace::new());
         same_rows(
@@ -1262,6 +1162,16 @@ mod tests {
             &second,
             &analyze_bus(&net, &NoErrors, &config).expect("valid"),
         );
+    }
+
+    #[test]
+    fn hp_sets_follow_arbitration_order() {
+        let net = net_with(vec![
+            msg("weak", 0x200, 8, 10, 0, 0),
+            msg("strong", 0x100, 8, 10, 0, 1),
+        ]);
+        let compiled = CompiledBus::compile(&net, StuffingMode::WorstCase).expect("valid");
+        assert_eq!(compiled.hp_sets(), [vec![1], vec![]]);
     }
 
     #[test]

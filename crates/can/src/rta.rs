@@ -38,9 +38,6 @@ pub(crate) struct RtaMetrics {
     pub(crate) messages: Arc<Counter>,
     pub(crate) iterations: Arc<Counter>,
     pub(crate) busy_instances: Arc<Histogram>,
-    pub(crate) incremental_runs: Arc<Counter>,
-    pub(crate) incremental_reused: Arc<Counter>,
-    pub(crate) incremental_recomputed: Arc<Counter>,
     pub(crate) diverged: Arc<Counter>,
 }
 
@@ -53,9 +50,6 @@ pub(crate) fn rta_metrics() -> &'static RtaMetrics {
             messages: registry.counter("rta.messages"),
             iterations: registry.counter("rta.iterations"),
             busy_instances: registry.histogram("rta.busy_instances"),
-            incremental_runs: registry.counter("rta.incremental.runs"),
-            incremental_reused: registry.counter("rta.incremental.reused"),
-            incremental_recomputed: registry.counter("rta.incremental.recomputed"),
             diverged: registry.counter("rta.diverged"),
         }
     })
@@ -308,68 +302,6 @@ pub fn analyze_bus(
 ) -> Result<BusReport, AnalysisError> {
     let compiled = CompiledBus::compile(net, config.stuffing)?;
     Ok(compiled.solve(net, errors, config, &mut RtaWorkspace::new()))
-}
-
-/// The higher-priority index set of every message: `result[i]` holds
-/// the indices of all messages that out-arbitrate message `i`, in
-/// ascending index order.
-///
-/// [`wcrt_for_sets`] depends only on these *sets* (never on identifier
-/// values beyond them, except through transmission times), which is
-/// what makes [`analyze_bus_incremental`] sound.
-pub fn hp_index_sets(net: &CanNetwork) -> Vec<Vec<usize>> {
-    let msgs = net.messages();
-    (0..msgs.len())
-        .map(|i| {
-            let key = msgs[i].id.arbitration_key();
-            (0..msgs.len())
-                .filter(|&j| msgs[j].id.arbitration_key() < key)
-                .collect()
-        })
-        .collect()
-}
-
-/// Work accounting of one [`analyze_bus_incremental`] run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IncrementalStats {
-    /// Messages whose verdict was carried over from the previous report.
-    pub reused: usize,
-    /// Messages whose busy-window iteration had to be re-run.
-    pub recomputed: usize,
-}
-
-/// Priority-aware incremental re-analysis.
-///
-/// `net` must differ from the previously analyzed network **only in its
-/// identifier assignment** (same messages in the same order, same
-/// activations, deadline policies, senders and controllers — exactly
-/// what an identifier-permutation overlay produces). `previous` is that
-/// network's report and `previous_hp` its [`hp_index_sets`]. Messages
-/// whose higher-priority index set is unchanged keep their response
-/// verdict without re-running the busy-window iteration; only the
-/// affected messages are recomputed.
-///
-/// The function independently verifies everything it can observe
-/// (message count, names, transmission-time vectors, deadlines, error
-/// model and stuffing mode) and falls back to a full [`analyze_bus`]
-/// run when the reports are not comparable, so a contract violation
-/// degrades performance, not correctness — except for activation
-/// changes, which are invisible in a [`BusReport`] and remain the
-/// caller's responsibility.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::InvalidModel`] if the network fails
-/// [`CanNetwork::validate`].
-pub fn analyze_bus_incremental(
-    net: &CanNetwork,
-    errors: &dyn ErrorModel,
-    config: &AnalysisConfig,
-    previous: &BusReport,
-    previous_hp: &[Vec<usize>],
-) -> Result<(BusReport, IncrementalStats), AnalysisError> {
-    let compiled = CompiledBus::compile(net, config.stuffing)?;
-    Ok(compiled.solve_incremental(net, errors, config, previous, previous_hp))
 }
 
 /// Fault-injection hooks for verification tooling.
@@ -876,72 +808,6 @@ mod tests {
         let rep = analyze_bus(&net, &NoErrors, &AnalysisConfig::default()).expect("valid");
         let m = &rep.messages[0];
         assert_eq!(m.slack(), Some(Time::from_ms(10) - Time::from_us(270)));
-    }
-
-    #[test]
-    fn incremental_matches_full_analysis_on_id_swaps() {
-        let mk = || {
-            net_with(vec![
-                msg("a", 0x100, 8, 5, 1, 0),
-                msg("b", 0x140, 4, 10, 0, 1),
-                msg("c", 0x180, 8, 10, 2, 0),
-                msg("d", 0x1C0, 2, 20, 0, 1),
-                msg("e", 0x200, 8, 20, 1, 0),
-            ])
-        };
-        let cfg = AnalysisConfig::default();
-        let errors = SporadicErrors::new(Time::from_ms(20));
-        let base = mk();
-        let previous = analyze_bus(&base, &errors, &cfg).expect("valid");
-        let previous_hp = hp_index_sets(&base);
-
-        // Swap the two weakest identifiers: only d and e change sets.
-        let mut swapped = mk();
-        let (d_id, e_id) = (swapped.messages()[3].id, swapped.messages()[4].id);
-        swapped.messages_mut()[3].id = e_id;
-        swapped.messages_mut()[4].id = d_id;
-
-        let (incremental, stats) =
-            analyze_bus_incremental(&swapped, &errors, &cfg, &previous, &previous_hp)
-                .expect("valid");
-        let full = analyze_bus(&swapped, &errors, &cfg).expect("valid");
-        assert_eq!(stats.reused, 3, "a, b, c keep their hp sets");
-        assert_eq!(stats.recomputed, 2);
-        for (i, f) in incremental.messages.iter().zip(&full.messages) {
-            assert_eq!(i.outcome, f.outcome, "{}", f.name);
-            assert_eq!(i.id, f.id);
-            assert_eq!(i.blocking, f.blocking);
-            assert_eq!(i.instances, f.instances);
-            assert_eq!(i.deadline, f.deadline);
-        }
-    }
-
-    #[test]
-    fn incremental_falls_back_when_not_comparable() {
-        let net = net_with(vec![msg("a", 0x100, 8, 10, 0, 0)]);
-        let cfg = AnalysisConfig::default();
-        let previous = analyze_bus(&net, &NoErrors, &cfg).expect("valid");
-        let previous_hp = hp_index_sets(&net);
-        // Different error model: the previous report is not comparable,
-        // so everything is recomputed — against the new model.
-        let errors = SporadicErrors::new(Time::from_s(1));
-        let (report, stats) =
-            analyze_bus_incremental(&net, &errors, &cfg, &previous, &previous_hp).expect("valid");
-        assert_eq!(stats.reused, 0);
-        assert_eq!(stats.recomputed, 1);
-        assert_eq!(
-            report.messages[0].outcome,
-            analyze_bus(&net, &errors, &cfg).expect("valid").messages[0].outcome
-        );
-    }
-
-    #[test]
-    fn hp_sets_follow_arbitration_order() {
-        let net = net_with(vec![
-            msg("weak", 0x200, 8, 10, 0, 0),
-            msg("strong", 0x100, 8, 10, 0, 1),
-        ]);
-        assert_eq!(hp_index_sets(&net), vec![vec![1], vec![]]);
     }
 
     #[test]

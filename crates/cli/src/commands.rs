@@ -624,7 +624,7 @@ mod tests {
         );
         assert!(out.contains("prob-dominates-worst-case"), "{out}");
         assert!(
-            out.contains("all 13 laws held over 2 cases each (seed 2006)"),
+            out.contains("all 12 laws held over 2 cases each (seed 2006)"),
             "{out}"
         );
         assert!(!out.contains("VIOLATED"), "{out}");
@@ -645,7 +645,7 @@ mod tests {
         ])
         .expect("laws hold on FD");
         assert!(
-            out.contains("all 13 laws held over 2 cases each (seed 2006)"),
+            out.contains("all 12 laws held over 2 cases each (seed 2006)"),
             "{out}"
         );
         let err = run_line(&["fuzz", "--cases", "1", "--backend", "lin"]).expect_err("bad");

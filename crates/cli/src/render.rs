@@ -550,7 +550,6 @@ mod tests {
             compiles: 2,
             warm_starts: 9,
             cold_starts: 3,
-            ..CacheStats::default()
         };
         let line = cache_stats_line(&stats);
         assert!(line.contains("75 % hit rate"), "{line}");

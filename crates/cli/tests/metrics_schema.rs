@@ -58,7 +58,6 @@ fn loss_metrics_document_has_required_keys() {
         "engine.batch.worker_points",
         "engine.batch.publish_flushes",
         "engine.batch.shard_waits",
-        "engine.scratch.evictions",
         "rta.iterations",
         "sweep.runs",
         "sweep.points",

@@ -8,7 +8,6 @@
 use crate::variant::{SystemVariant, VariantKey};
 use carta_can::compiled::{CompiledBus, RtaWorkspace, SolvePoint};
 use carta_can::frame::StuffingMode;
-use carta_can::network::CanNetwork;
 use carta_can::prob::{prob_from_reports, ProbBusReport};
 use carta_can::rta::BusReport;
 use carta_core::analysis::AnalysisError;
@@ -135,9 +134,9 @@ impl Default for Parallelism {
 /// faulted point behaves exactly like a fresh evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Panic inside the analysis of the N-th uncached evaluation (after
-    /// the scratch network has been mutated), exercising the
-    /// `catch_unwind` containment and workspace-reset path.
+    /// Panic inside the analysis of the N-th uncached evaluation (with
+    /// the thread's solve point taken out of its scratch), exercising
+    /// the `catch_unwind` containment and scratch-reset path.
     pub panic_at: Option<u64>,
     /// Force the N-th uncached evaluation to diverge by sabotaging its
     /// busy-window horizon to zero, degrading every message of that
@@ -177,14 +176,14 @@ pub struct CacheStats {
     pub hits: u64,
     /// Evaluations that ran the analysis.
     pub misses: u64,
-    /// Per-message results reused by incremental re-analysis within the
-    /// analyses counted under `misses`.
-    pub messages_reused: u64,
-    /// Per-message results recomputed by incremental re-analysis.
-    pub messages_recomputed: u64,
-    /// RTA compile-phase runs: one full [`CompiledBus::compile`] per
-    /// (base, stuffing mode), plus one order-dependent recompile per
-    /// permutation overlay miss.
+    /// RTA table builds: one per (base, stuffing mode) this evaluator
+    /// analyzes — a full [`CompiledBus::compile`], or the identical
+    /// tables a thread already holds from an earlier evaluator, handed
+    /// over and counted so the figure never depends on what ran on the
+    /// thread before — plus one [`CompiledBus::reordered`] recompile
+    /// each time a thread's solves switch to another (base,
+    /// permutation, stuffing) triple: at most once per run of one
+    /// permutation within a batch chunk.
     pub compiles: u64,
     /// Busy-window fixpoints warm-started from a per-thread workspace.
     pub warm_starts: u64,
@@ -228,93 +227,44 @@ const BATCH_CHUNK: usize = 64;
 /// disjoint output rows it writes.
 type ChunkWork<'a, 'b> = (&'a [SystemVariant], &'b mut [Option<EvalResult>]);
 
-/// Per-bucket reference analysis for incremental re-analysis of
-/// permutation overlays: a permutation changes identifiers only, so
-/// messages whose higher-priority set is unchanged keep their verdict.
-struct Anchor {
-    report: BusReport,
-    hp_sets: Vec<Vec<usize>>,
-}
+/// Identity of one table in a thread's scratch: the evaluator that
+/// registered it (so stats never depend on another evaluator's work),
+/// the base fingerprint and the stuffing mode.
+type TablesKey = (u64, u64, StuffingMode);
 
-/// Per-thread solve state for one base: the SoA solve point rebuilt per
-/// variant, the lazily cloned scratch network (materialized only for
-/// permutation overlays, which rewrite identifier tables in place), the
-/// compiled tables last used on this thread (an `Arc` into the
-/// evaluator's compiled-bus cache, re-fetched when stuffing changes),
-/// and the RTA workspace that carries busy-window warm-start data from
-/// one solve to the next.
+/// Identity of one reordered table: its base table plus the identifier
+/// permutation.
+type ReorderKey = (TablesKey, Arc<Vec<usize>>);
+
+/// Per-thread solve state: the SoA solve point rebuilt per variant, the
+/// base tables last used on this thread (an `Arc` into the evaluator's
+/// compiled-bus cache), the reordered tables of the last permutation
+/// overlay (rebuilt when the (base, permutation, stuffing) triple
+/// changes), and the RTA workspace that carries busy-window warm-start
+/// data from one solve to the next.
+#[derive(Default)]
 struct Scratch {
-    fp: u64,
-    net: Option<CanNetwork>,
-    compiled: Option<((u64, StuffingMode), Arc<CompiledBus>)>,
+    compiled: Option<(TablesKey, Arc<CompiledBus>)>,
+    reordered: Option<(ReorderKey, Arc<CompiledBus>)>,
     ws: RtaWorkspace,
     point: SolvePoint,
 }
 
-/// Bound on the per-thread scratch pool: cycling through more bases
-/// than this on one thread evicts the least recently used state instead
-/// of growing without limit.
-const SCRATCH_POOL_CAP: usize = 8;
-
-/// Small per-thread pool of [`Scratch`] states keyed by base
-/// fingerprint, kept in LRU order (most recently used last).
-struct ScratchPool {
-    entries: Vec<Scratch>,
-}
-
-impl ScratchPool {
-    const fn new() -> Self {
-        ScratchPool {
-            entries: Vec::new(),
-        }
-    }
-
-    /// The scratch state for `fp`, moved to the most-recent slot. A
-    /// miss creates a fresh entry, evicting the least recently used one
-    /// past [`SCRATCH_POOL_CAP`]; the flag reports that eviction.
-    fn entry_for(&mut self, fp: u64) -> (&mut Scratch, bool) {
-        let mut evicted = false;
-        if let Some(pos) = self.entries.iter().position(|s| s.fp == fp) {
-            let entry = self.entries.remove(pos);
-            self.entries.push(entry);
-        } else {
-            if self.entries.len() >= SCRATCH_POOL_CAP {
-                self.entries.remove(0);
-                evicted = true;
-            }
-            self.entries.push(Scratch {
-                fp,
-                net: None,
-                compiled: None,
-                ws: RtaWorkspace::new(),
-                point: SolvePoint::new(),
-            });
-        }
-        let last = self.entries.len() - 1;
-        (&mut self.entries[last], evicted)
-    }
-
-    /// Invalidates every entry's warm-start workspace (networks,
-    /// compiled handles and allocations are kept — they are
-    /// deterministic caches and cannot influence results or stats).
-    fn invalidate_warm_state(&mut self) {
-        for entry in &mut self.entries {
-            entry.ws.invalidate();
-        }
-    }
-
-    /// Drops everything — the panic-containment path, where any entry
-    /// may have been left mid-rewrite.
-    fn clear(&mut self) {
-        self.entries.clear();
+impl Scratch {
+    /// Starts a batch chunk: drops the warm-start state and the
+    /// reordered tables, so the chunk's results, compiles and warm/cold
+    /// counts depend on the chunk's own contents alone.
+    fn start_chunk(&mut self) {
+        self.ws.invalidate();
+        self.reordered = None;
     }
 }
 
 thread_local! {
-    /// Per-thread scratch pool, keyed by base fingerprint. Networks are
-    /// cloned at most once per (thread, base) and rewritten in place
-    /// per variant — the "no full-network clone per point" mechanism.
-    static SCRATCH: RefCell<ScratchPool> = const { RefCell::new(ScratchPool::new()) };
+    /// One scratch slot per thread. Switching bases needs no eviction:
+    /// the tables are re-fetched and the workspace's compile-epoch gate
+    /// turns the switch into a cold start.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 /// Pre-resolved metric handles for the engine's hot paths.
@@ -341,7 +291,6 @@ struct EngineMetrics {
     batch_worker_points: Arc<Histogram>,
     batch_publish_flushes: Arc<Counter>,
     batch_shard_waits: Arc<Counter>,
-    scratch_evictions: Arc<Counter>,
     rta_compiles: Arc<Counter>,
     rta_warm_starts: Arc<Counter>,
     rta_cold_starts: Arc<Counter>,
@@ -366,7 +315,6 @@ impl EngineMetrics {
             batch_worker_points: registry.histogram("engine.batch.worker_points"),
             batch_publish_flushes: registry.counter("engine.batch.publish_flushes"),
             batch_shard_waits: registry.counter("engine.batch.shard_waits"),
-            scratch_evictions: registry.counter("engine.scratch.evictions"),
             rta_compiles: registry.counter("engine.rta.compiles"),
             rta_warm_starts: registry.counter("engine.rta.warm_starts"),
             rta_cold_starts: registry.counter("engine.rta.cold_starts"),
@@ -457,26 +405,20 @@ impl EvaluatorBuilder {
             Some(registry) => EngineMetrics::bind(registry, true),
             None => EngineMetrics::bind(metrics::global(), false),
         };
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         Evaluator {
             shared: Arc::new(EvalShared {
+                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 parallelism: self.parallelism.unwrap_or_else(Parallelism::from_env),
                 // Per-shard budget; a capacity below SHARDS still keeps
                 // one entry per shard rather than thrashing on every
                 // insert.
                 shard_capacity: self.cache_capacity.map(|c| (c / SHARDS).max(1)),
-                // Anchors retain whole reports plus higher-priority
-                // sets, so a bounded cache bounds them too (at a
-                // fraction of the entry budget — anchors are per
-                // bucket, not per variant).
-                anchor_capacity: self.cache_capacity.map(|c| (c / 4).max(1)),
                 shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-                anchors: Mutex::new(HashMap::new()),
                 compiled: Mutex::new(HashMap::new()),
                 prob: Mutex::new(HashMap::new()),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
-                messages_reused: AtomicU64::new(0),
-                messages_recomputed: AtomicU64::new(0),
                 compiles: AtomicU64::new(0),
                 warm_starts: AtomicU64::new(0),
                 cold_starts: AtomicU64::new(0),
@@ -494,11 +436,12 @@ impl EvaluatorBuilder {
 /// [`Evaluator::scoped_cancel`] hands out additional handles carrying a
 /// per-request [`CancelToken`] while hitting the same caches.
 struct EvalShared {
+    /// Process-unique identity, scoping per-thread scratch tables to
+    /// this evaluator.
+    id: u64,
     parallelism: Parallelism,
     shard_capacity: Option<usize>,
-    anchor_capacity: Option<usize>,
     shards: Vec<Mutex<HashMap<VariantKey, EvalResult>>>,
-    anchors: Mutex<HashMap<VariantKey, Arc<Anchor>>>,
     /// One compiled bus per (base fingerprint, stuffing mode), shared
     /// by every worker thread; compile errors are cached alongside so a
     /// malformed base is validated once.
@@ -508,8 +451,6 @@ struct EvalShared {
     prob: Mutex<HashMap<VariantKey, ProbEvalResult>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    messages_reused: AtomicU64,
-    messages_recomputed: AtomicU64,
     compiles: AtomicU64,
     warm_starts: AtomicU64,
     cold_starts: AtomicU64,
@@ -643,8 +584,6 @@ impl EvalShared {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            messages_reused: self.messages_reused.load(Ordering::Relaxed),
-            messages_recomputed: self.messages_recomputed.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
             warm_starts: self.warm_starts.load(Ordering::Relaxed),
             cold_starts: self.cold_starts.load(Ordering::Relaxed),
@@ -805,13 +744,8 @@ impl EvalShared {
             cancel,
         )?;
         let stuffing = variant.scenario().stuffing;
-        let compiled = match variant.permutation() {
-            // The shared compiled-bus cache serves the common case; a
-            // permutation overlay analyzes a reordered copy, so compile
-            // the materialized network directly instead.
-            None => self.compiled_for(variant, variant.base().fingerprint(), stuffing)?,
-            Some(_) => Arc::new(CompiledBus::compile(&variant.materialize(), stuffing)?),
-        };
+        let compiled =
+            SCRATCH.with_borrow_mut(|scratch| self.tables_for(scratch, variant, stuffing))?;
         let model = variant.scenario().errors.model();
         prob_from_reports(&compiled, &base, &full, model.as_ref()).map(Arc::new)
     }
@@ -851,8 +785,9 @@ impl EvalShared {
     /// so per-worker warm-start sequences, fault numbering under a
     /// fixed assignment, and the work distribution are reproducible
     /// run over run. Each chunk additionally starts from invalidated
-    /// warm-start state, which makes every result *and* the warm/cold
-    /// solve counters a pure function of the chunk's own contents:
+    /// warm-start state and no reordered tables, which makes every
+    /// result *and* the compile and warm/cold solve counters a pure
+    /// function of the chunk's own contents:
     /// batches of distinct points are bit-identical, [`CacheStats`]
     /// included, at any `--jobs` value.
     fn evaluate_batch_inner(
@@ -941,9 +876,10 @@ impl EvalShared {
     ///    the cache so concurrent chunks that computed the same key
     ///    still hand out one shared allocation.
     ///
-    /// Warm-start state is invalidated on entry, making the chunk's
-    /// results and solve statistics independent of whatever ran on this
-    /// thread before — the keystone of cross-`jobs` bit-identity.
+    /// Warm-start state and reordered tables are dropped on entry,
+    /// making the chunk's results and solve statistics independent of
+    /// whatever ran on this thread before — the keystone of cross-`jobs`
+    /// bit-identity.
     fn process_chunk(
         &self,
         variants: &[SystemVariant],
@@ -959,7 +895,7 @@ impl EvalShared {
             }
             return;
         }
-        SCRATCH.with_borrow_mut(ScratchPool::invalidate_warm_state);
+        SCRATCH.with_borrow_mut(Scratch::start_chunk);
         if self.metrics.active() {
             self.metrics.batch_chunks.inc();
         }
@@ -1046,25 +982,72 @@ impl EvalShared {
     }
 
     /// The compiled bus of `variant`'s base under `stuffing`, from the
-    /// shared cache (compiling on first use). Always compiles the *base*
-    /// network — permutation overlays reorder a copy via
-    /// [`CompiledBus::reordered`] instead of polluting this cache.
+    /// shared cache. A miss counts one compile and stores `ready` —
+    /// identical tables the thread already holds — or compiles the
+    /// *base* network without them; permutation overlays reorder it per
+    /// thread in [`EvalShared::tables_for`] instead of polluting this
+    /// cache.
     fn compiled_for(
         &self,
         variant: &SystemVariant,
         fp: u64,
         stuffing: StuffingMode,
+        ready: Option<Arc<CompiledBus>>,
     ) -> Result<Arc<CompiledBus>, AnalysisError> {
         let mut map = self.compiled.lock().unwrap_or_else(PoisonError::into_inner);
         map.entry((fp, stuffing))
             .or_insert_with(|| {
-                self.compiles.fetch_add(1, Ordering::Relaxed);
-                if self.metrics.active() {
-                    self.metrics.rta_compiles.inc();
+                self.count_compile();
+                match ready {
+                    Some(tables) => Ok(tables),
+                    None => CompiledBus::compile(variant.base().network(), stuffing).map(Arc::new),
                 }
-                CompiledBus::compile(variant.base().network(), stuffing).map(Arc::new)
             })
             .clone()
+    }
+
+    /// The tables `variant` solves against under `stuffing`, through
+    /// the thread's scratch: the base's compiled bus, or — for a
+    /// permutation overlay — its [`CompiledBus::reordered`] copy, built
+    /// only when the (base, permutation, stuffing) triple changes.
+    fn tables_for(
+        &self,
+        scratch: &mut Scratch,
+        variant: &SystemVariant,
+        stuffing: StuffingMode,
+    ) -> Result<Arc<CompiledBus>, AnalysisError> {
+        let fp = variant.base().fingerprint();
+        let tables_key = (self.id, fp, stuffing);
+        let compiled = match scratch.compiled.take() {
+            Some((key, tables)) if key == tables_key => tables,
+            // Tables another evaluator built for the same base on this
+            // thread are handed over rather than recompiled.
+            Some(((_, f, s), tables)) if (f, s) == (fp, stuffing) => {
+                self.compiled_for(variant, fp, stuffing, Some(tables))?
+            }
+            _ => self.compiled_for(variant, fp, stuffing, None)?,
+        };
+        scratch.compiled = Some((tables_key, compiled.clone()));
+        let Some(perm) = variant.permutation() else {
+            return Ok(compiled);
+        };
+        let key = (tables_key, Arc::clone(perm));
+        if let Some((k, reordered)) = &scratch.reordered {
+            if *k == key {
+                return Ok(reordered.clone());
+            }
+        }
+        let reordered = Arc::new(compiled.reordered(variant.base().network(), &variant.ids()));
+        self.count_compile();
+        scratch.reordered = Some((key, reordered.clone()));
+        Ok(reordered)
+    }
+
+    fn count_compile(&self) {
+        self.compiles.fetch_add(1, Ordering::Relaxed);
+        if self.metrics.active() {
+            self.metrics.rta_compiles.inc();
+        }
     }
 
     /// Counts the warm/cold busy-window starts of the latest solve.
@@ -1087,9 +1070,9 @@ impl EvalShared {
     /// surfaced as [`AnalysisError::Panicked`] instead of unwinding
     /// through the batch: one poisoned variant costs its own point,
     /// never the other 63. The thread's scratch state is dropped on the
-    /// way out (the panic may have unwound mid-solve, leaving the
-    /// scratch network or warm-start workspace inconsistent), so the
-    /// next analysis on this thread cold-starts from clean state.
+    /// way out (the panic may have unwound mid-solve, leaving the solve
+    /// point or warm-start workspace inconsistent), so the next analysis
+    /// on this thread cold-starts from clean state.
     fn analyze_contained(
         &self,
         variant: &SystemVariant,
@@ -1125,7 +1108,8 @@ impl EvalShared {
                 (result, cacheable)
             }
             Err(payload) => {
-                SCRATCH.with_borrow_mut(ScratchPool::clear);
+                // Replaces the thread's scratch with a fresh default.
+                SCRATCH.take();
                 let detail = panic_detail(payload.as_ref());
                 if self.metrics.active() {
                     self.metrics.fault_panics.inc();
@@ -1136,34 +1120,12 @@ impl EvalShared {
         }
     }
 
-    /// Installs the anchor report for `key` (first writer wins). Under
-    /// a bounded cache the anchors map is bounded too: at capacity it
-    /// is cleared whole, like a shard — anchors only accelerate
-    /// permutation overlays, so losing one costs a recompute, never
-    /// correctness.
-    fn install_anchor(&self, key: VariantKey, anchor: impl FnOnce() -> Anchor) {
-        let mut anchors = self.anchors.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(capacity) = self.anchor_capacity {
-            if anchors.len() >= capacity && !anchors.contains_key(&key) {
-                let evicted = anchors.len() as u64;
-                anchors.clear();
-                if self.metrics.active() {
-                    self.metrics.evictions.add(evicted);
-                }
-            }
-        }
-        anchors.entry(key).or_insert_with(|| Arc::new(anchor()));
-    }
-
-    /// Runs the analysis for a cache miss on the compiled fast path:
-    /// the per-thread SoA solve point is rebuilt row by row (no network
-    /// clone or rewrite on the common path), the base's [`CompiledBus`]
-    /// is fetched from the shared cache, and the solve phase
-    /// warm-starts from the thread's [`RtaWorkspace`]. Permutation
-    /// overlays materialize the thread's scratch network, recompile
-    /// only the order-dependent tables ([`CompiledBus::reordered`]) and
-    /// re-use per-message verdicts from the bucket's anchor report
-    /// where the priority order is unchanged.
+    /// Runs the analysis for a cache miss — the one path every variant
+    /// takes, permuted or not: the per-thread SoA solve point is rebuilt
+    /// row by row from the base plus overlays (no network is
+    /// materialized), solved against [`EvalShared::tables_for`], and
+    /// warm-started from the thread's [`RtaWorkspace`] wherever the
+    /// epoch/dominance gate allows.
     fn analyze_uncached(
         &self,
         variant: &SystemVariant,
@@ -1174,18 +1136,7 @@ impl EvalShared {
             return Err(AnalysisError::Cancelled);
         }
         variant.validate_overlays()?;
-        SCRATCH.with_borrow_mut(|pool| {
-            let fp = variant.base().fingerprint();
-            let (scratch, evicted) = pool.entry_for(fp);
-            if evicted && self.metrics.active() {
-                self.metrics.scratch_evictions.inc();
-            }
-            if fault == Some(InjectedFault::Panic) {
-                // Fires after the scratch entry was claimed so the
-                // containment path must genuinely discard dirty state.
-                panic!("injected fault: panic during analysis");
-            }
-
+        SCRATCH.with_borrow_mut(|scratch| {
             let errors = variant.scenario().errors.model();
             let mut config = variant.scenario().analysis_config();
             if fault == Some(InjectedFault::Diverge) {
@@ -1193,97 +1144,33 @@ impl EvalShared {
                 // with a `HorizonExceeded` diagnostic on first demand.
                 config.horizon = Time::ZERO;
             }
-            let compiled = match &scratch.compiled {
-                Some((key, c)) if *key == (fp, config.stuffing) => c.clone(),
-                _ => {
-                    let c = self.compiled_for(variant, fp, config.stuffing)?;
-                    scratch.compiled = Some(((fp, config.stuffing), c.clone()));
-                    c
-                }
-            };
-
-            if variant.permutation().is_some() {
-                // Identifiers were redistributed: this is the one path
-                // that needs a materialized network (cloned once per
-                // (thread, base), then rewritten in place), because the
-                // order-dependent tables recompile against it (interned
-                // names and frame times carry over).
-                let net = scratch
-                    .net
-                    .get_or_insert_with(|| variant.base().network().clone());
-                variant.apply_onto(net);
-                let reordered = compiled.reordered(net);
-                self.compiles.fetch_add(1, Ordering::Relaxed);
-                if self.metrics.active() {
-                    self.metrics.rta_compiles.inc();
-                }
-                let anchor = self
-                    .anchors
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get(&variant.anchor_key())
-                    .cloned();
-                if let Some(anchor) = anchor {
-                    let (report, stats) = reordered.solve_incremental(
-                        net,
-                        errors.as_ref(),
-                        &config,
-                        &anchor.report,
-                        &anchor.hp_sets,
-                    );
-                    self.messages_reused
-                        .fetch_add(stats.reused as u64, Ordering::Relaxed);
-                    self.messages_recomputed
-                        .fetch_add(stats.recomputed as u64, Ordering::Relaxed);
-                    return Ok(Arc::new(report));
-                }
-                // Anchor miss: solve cold (warm-start state never
-                // transfers across a reordering) and install the anchor.
-                let report =
-                    reordered.solve(net, errors.as_ref(), &config, &mut RtaWorkspace::new());
-                self.cold_starts
-                    .fetch_add(report.messages.len() as u64, Ordering::Relaxed);
-                let hp_sets = reordered.hp_sets().to_vec();
-                let anchor_report = report.clone();
-                self.install_anchor(variant.anchor_key(), move || Anchor {
-                    report: anchor_report,
-                    hp_sets,
-                });
-                return Ok(Arc::new(report));
-            }
-
-            // Common path: no network materialization at all — the SoA
-            // solve point is filled straight from the base plus
-            // overlays, one (activation, deadline) row per message.
+            let tables = self.tables_for(scratch, variant, config.stuffing)?;
             let mut point = std::mem::take(&mut scratch.point);
             point.fill_with(variant.base().network().messages().len(), |i| {
                 variant.solve_row(i)
             });
+            if fault == Some(InjectedFault::Panic) {
+                // Fires with the solve point taken out of the scratch,
+                // so the containment path must genuinely discard dirty
+                // state.
+                panic!("injected fault: panic during analysis");
+            }
             let solved = match cancel {
-                Some(token) => compiled.solve_point_cancellable(
+                Some(token) => tables.solve_point_cancellable(
                     &point,
                     errors.as_ref(),
                     &config,
                     token,
                     &mut scratch.ws,
                 ),
-                None => Ok(compiled.solve_point(&point, errors.as_ref(), &config, &mut scratch.ws)),
+                None => Ok(tables.solve_point(&point, errors.as_ref(), &config, &mut scratch.ws)),
             };
             scratch.point = point;
             // A trip mid-solve abandons the point whole: the workspace
-            // was invalidated by the solver, no stats are recorded, no
-            // anchor is installed, and the caller never caches the
-            // error.
+            // was invalidated by the solver, no stats are recorded, and
+            // the caller never caches the error.
             let report = solved?;
             self.record_solve(&scratch.ws);
-            // First full analysis in this bucket: it becomes the anchor
-            // future permutation overlays diff against.
-            let hp_sets = compiled.hp_sets().to_vec();
-            let anchor_report = report.clone();
-            self.install_anchor(variant.anchor_key(), move || Anchor {
-                report: anchor_report,
-                hp_sets,
-            });
             Ok(Arc::new(report))
         })
     }
@@ -1378,39 +1265,49 @@ mod tests {
     }
 
     #[test]
-    fn permutations_use_incremental_analysis_and_stay_exact() {
+    fn permutations_take_the_warm_path_with_one_reordered_compile_per_chunk() {
         let base = BaseSystem::new(net(6));
-        let eval = Evaluator::new(Parallelism::sequential());
         let scenario = Scenario::worst_case();
-        // Prime the anchor with the un-permuted variant.
-        let baseline = SystemVariant::new(base.clone(), scenario.clone()).with_jitter_ratio(0.25);
-        eval.evaluate(&baseline).expect("valid");
-        // A permutation that swaps the two weakest identifiers leaves
-        // the higher-priority sets of messages 0..4 untouched.
-        let perm = Arc::new(vec![0usize, 1, 2, 3, 5, 4]);
-        let v = baseline.clone().with_permutation(perm.clone());
-        let report = eval.evaluate(&v).expect("valid");
+        let perm = Arc::new(vec![5usize, 3, 1, 0, 2, 4]);
+        // One permutation under ascending jitter, spanning two chunks.
+        let variants: Vec<SystemVariant> = (0..2 * BATCH_CHUNK)
+            .map(|k| {
+                SystemVariant::new(base.clone(), scenario.clone())
+                    .with_jitter_ratio(k as f64 * 0.003)
+                    .with_permutation(perm.clone())
+            })
+            .collect();
+        let eval = Evaluator::new(Parallelism::sequential());
+        let out = eval.evaluate_batch(&variants);
         let stats = eval.stats();
-        assert!(
-            stats.messages_reused >= 4,
-            "expected reuse of unchanged prefixes, got {stats:?}"
+        assert_eq!(
+            stats.compiles,
+            1 + 2,
+            "the base tables plus exactly one reordered compile per chunk: {stats:?}"
         );
-        // Exactness against the from-scratch path.
-        let direct = {
-            let mut m = base.network().clone();
-            let pool = base.id_pool().to_vec();
-            for (rank, &mi) in perm.iter().enumerate() {
-                m.messages_mut()[mi].id = pool[rank];
-            }
-            scenario
-                .analyze(&crate::jitter::with_jitter_ratio(&m, 0.25))
-                .expect("valid")
-        };
-        for (e, d) in report.messages.iter().zip(&direct.messages) {
-            assert_eq!(e.outcome, d.outcome, "{}", e.name);
-            assert_eq!(e.id, d.id);
-            assert_eq!(e.blocking, d.blocking);
+        // Only each chunk's first point solves cold; ascending jitter
+        // dominates stream-wise, so every later point warm-starts.
+        assert_eq!(stats.cold_starts, 2 * 6, "{stats:?}");
+        assert_eq!(
+            stats.warm_starts,
+            2 * (BATCH_CHUNK as u64 - 1) * 6,
+            "{stats:?}"
+        );
+        for (i, (v, report)) in variants.iter().zip(out).enumerate() {
+            let direct = carta_can::rta::analyze_bus(
+                &v.materialize(),
+                scenario.errors.model().as_ref(),
+                &scenario.analysis_config(),
+            )
+            .expect("valid");
+            assert_eq!(*report.expect("valid"), direct, "point {i}");
         }
+        // A second evaluator on this thread is handed the base tables
+        // but still counts them: its stats never depend on what ran on
+        // the thread before.
+        let again = Evaluator::new(Parallelism::sequential());
+        again.evaluate_batch(&variants);
+        assert_eq!(again.stats(), stats);
     }
 
     #[test]
@@ -1715,41 +1612,6 @@ mod tests {
         );
         let (p, w) = Parallelism::resolve_with_env(None, None);
         assert_eq!((p.jobs(), w), (Parallelism::available(), None));
-    }
-
-    #[test]
-    fn scratch_pool_is_bounded_per_thread() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let eval = Evaluator::builder()
-            .parallelism(Parallelism::sequential())
-            .metrics(&registry)
-            .build();
-        let cycles = SCRATCH_POOL_CAP + 4;
-        // Distinct message counts yield distinct base fingerprints, so
-        // every evaluation claims its own scratch entry.
-        for k in 0..cycles {
-            let base = BaseSystem::new(net(2 + k));
-            eval.evaluate(&SystemVariant::new(base, Scenario::worst_case()))
-                .expect("valid");
-        }
-        SCRATCH.with_borrow(|pool| {
-            assert!(
-                pool.entries.len() <= SCRATCH_POOL_CAP,
-                "pool grew to {} entries",
-                pool.entries.len()
-            );
-        });
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("engine.scratch.evictions"),
-            Some((cycles - SCRATCH_POOL_CAP) as u64),
-            "every base past the cap evicts exactly one entry"
-        );
-        // Cycling back through an evicted base still works (and is
-        // still correct) — it just re-claims a fresh entry.
-        let base = BaseSystem::new(net(2));
-        let v = SystemVariant::new(base, Scenario::worst_case()).with_jitter_ratio(0.1);
-        eval.evaluate(&v).expect("valid");
     }
 
     #[test]

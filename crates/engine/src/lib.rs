@@ -11,17 +11,18 @@
 //!
 //! * **Overlays, not clones** — a [`SystemVariant`] is a shared
 //!   [`BaseSystem`] plus small deltas (jitter assumption, error model,
-//!   deadline override, identifier permutation). Materialization
-//!   rewrites a per-thread scratch network in place; hot loops never
-//!   clone a full network per point.
+//!   deadline override, identifier permutation). Every variant takes
+//!   one solve path: its activation/deadline rows fill a per-thread
+//!   solve point against the base's compiled tables — or, for a
+//!   permutation, a per-thread reordered copy of them — and warm-start
+//!   from the previous solve. No network is cloned per point.
 //! * **Memoization** — the [`Evaluator`] caches reports in a sharded
 //!   map keyed by the structural [`VariantKey`], so repeated genomes
 //!   across GA generations and overlapping sweep grids hit the cache.
 //! * **Parallel batches** — [`Evaluator::evaluate_batch`] fans a slice
 //!   of variants out over [`Parallelism::jobs`] worker threads
-//!   (`CARTA_JOBS` env var / `--jobs` CLI flag), with incremental
-//!   priority-aware re-analysis (see `carta_can::rta::
-//!   analyze_bus_incremental`) for permutation overlays.
+//!   (`CARTA_JOBS` env var / `--jobs` CLI flag); results and
+//!   [`CacheStats`] are bit-identical at any job count.
 //!
 //! ```
 //! use carta_engine::prelude::*;

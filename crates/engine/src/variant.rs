@@ -4,9 +4,9 @@
 //! that differ from one base system only in a jitter assumption, an
 //! identifier permutation and the scenario's deadline override. Instead
 //! of cloning the network per point, a [`SystemVariant`] records those
-//! deltas and [`SystemVariant::apply_onto`] rewrites a reusable scratch
-//! network in place — every field is recomputed from the base, so the
-//! scratch's previous contents never leak into the next variant.
+//! deltas: the evaluator reads them row by row
+//! ([`SystemVariant::solve_row`], [`SystemVariant::ids`]) and never
+//! materializes a network.
 
 use crate::scenario::{DeadlineOverride, Scenario};
 use carta_can::message::{CanId, DeadlinePolicy};
@@ -258,73 +258,68 @@ impl SystemVariant {
         }
     }
 
-    /// The key this variant would have without its permutation overlay
-    /// — the bucket within which incremental re-analysis is sound
-    /// (same activations and deadlines, identifiers re-distributed).
-    pub fn anchor_key(&self) -> VariantKey {
-        VariantKey {
-            permutation: None,
-            ..self.key()
+    /// The identifier of every message, indexed like the base's
+    /// messages: under a permutation overlay message `perm[k]` carries
+    /// the `k`-th strongest identifier of the pool; without one, every
+    /// message keeps its own.
+    pub fn ids(&self) -> Vec<CanId> {
+        let mut ids: Vec<CanId> = self
+            .base
+            .network()
+            .messages()
+            .iter()
+            .map(|m| m.id)
+            .collect();
+        if let Some(perm) = &self.permutation {
+            let pool = self.base.id_pool();
+            for (rank, &msg_idx) in perm.iter().enumerate() {
+                ids[msg_idx] = pool[rank];
+            }
+        }
+        ids
+    }
+
+    /// Message `i`'s event model under the jitter overlay.
+    fn activation(&self, i: usize) -> EventModel {
+        let src = &self.base.network().messages()[i].activation;
+        match &self.jitter {
+            Some(overlay) => overlay.activation(src),
+            None => *src,
         }
     }
 
-    /// Rewrites `scratch` into this variant's network. Every mutable
-    /// field (identifier, activation, deadline policy) is recomputed
-    /// from the base, so any previously applied variant is fully
-    /// overwritten. `scratch` must be a clone of the base network.
-    pub fn apply_onto(&self, scratch: &mut CanNetwork) {
-        let base_msgs = self.base.network().messages();
-        debug_assert_eq!(scratch.messages().len(), base_msgs.len());
-        for (i, dst) in scratch.messages_mut().iter_mut().enumerate() {
-            let src = &base_msgs[i];
-            dst.id = src.id;
-            dst.activation = match &self.jitter {
-                Some(overlay) => overlay.activation(&src.activation),
-                None => src.activation,
-            };
-            dst.deadline = match self.scenario.deadline {
-                DeadlineOverride::Keep => src.deadline,
-                DeadlineOverride::Period => DeadlinePolicy::Period,
-                DeadlineOverride::MinReArrival => DeadlinePolicy::MinReArrival,
-            };
-        }
-        if let Some(perm) = &self.permutation {
-            let pool = self.base.id_pool();
-            let msgs = scratch.messages_mut();
-            for (rank, &msg_idx) in perm.iter().enumerate() {
-                msgs[msg_idx].id = pool[rank];
-            }
+    /// Message `i`'s deadline policy under the scenario's override.
+    fn deadline_policy(&self, i: usize) -> DeadlinePolicy {
+        match self.scenario.deadline {
+            DeadlineOverride::Keep => self.base.network().messages()[i].deadline,
+            DeadlineOverride::Period => DeadlinePolicy::Period,
+            DeadlineOverride::MinReArrival => DeadlinePolicy::MinReArrival,
         }
     }
 
     /// The structure-of-arrays row of message `i` under this variant's
     /// overlays: the overlaid activation model and the deadline it
-    /// resolves to — exactly what [`SystemVariant::apply_onto`]
+    /// resolves to — exactly what [`SystemVariant::materialize`]
     /// followed by `resolved_deadline()` would produce, without
     /// touching a network. Feeds [`carta_can::compiled::SolvePoint`]
     /// construction on the evaluator's hot path. Identifier
-    /// permutations are *not* reflected here — they change the compiled
-    /// tables, not the solve rows — so the permutation path still
-    /// materializes a network.
+    /// permutations are *not* reflected here: they change the compiled
+    /// tables ([`SystemVariant::ids`]), not the solve rows.
     pub fn solve_row(&self, i: usize) -> (EventModel, carta_core::time::Time) {
-        let src = &self.base.network().messages()[i];
-        let activation = match &self.jitter {
-            Some(overlay) => overlay.activation(&src.activation),
-            None => src.activation,
-        };
-        let policy = match self.scenario.deadline {
-            DeadlineOverride::Keep => src.deadline,
-            DeadlineOverride::Period => DeadlinePolicy::Period,
-            DeadlineOverride::MinReArrival => DeadlinePolicy::MinReArrival,
-        };
-        (activation, policy.deadline(&activation))
+        let activation = self.activation(i);
+        (activation, self.deadline_policy(i).deadline(&activation))
     }
 
-    /// Materializes the full network (one clone; prefer
-    /// [`SystemVariant::apply_onto`] with a reused scratch in loops).
+    /// Materializes the full network (one clone per call; the
+    /// evaluator never needs it).
     pub fn materialize(&self) -> CanNetwork {
         let mut net = self.base.network().clone();
-        self.apply_onto(&mut net);
+        let ids = self.ids();
+        for (i, m) in net.messages_mut().iter_mut().enumerate() {
+            m.id = ids[i];
+            m.activation = self.activation(i);
+            m.deadline = self.deadline_policy(i);
+        }
         net
     }
 }
@@ -385,23 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_equivalent_to_fresh_materialization() {
-        let base = BaseSystem::new(net());
-        let mut scratch = base.network().clone();
-        // Apply a heavy variant first, then a light one: the light one
-        // must fully overwrite the heavy one's traces.
-        SystemVariant::new(base.clone(), Scenario::worst_case())
-            .with_jitter_ratio(0.6)
-            .with_permutation(Arc::new(vec![1, 0]))
-            .apply_onto(&mut scratch);
-        let light = SystemVariant::new(base.clone(), Scenario::best_case());
-        light.apply_onto(&mut scratch);
-        assert_eq!(scratch, light.materialize());
-        assert_eq!(scratch, Scenario::best_case().apply(base.network()));
-    }
-
-    #[test]
-    fn solve_rows_mirror_apply_onto() {
+    fn solve_rows_mirror_materialize() {
         let base = BaseSystem::new(net());
         let scenarios = [
             Scenario::worst_case(),
@@ -435,9 +414,11 @@ mod tests {
         let base = BaseSystem::new(net());
         // Pool strongest-first: [0x100, 0x200]. perm [0, 1]: message 0
         // ("known", base 0x200) takes 0x100.
-        let v = SystemVariant::new(base.clone(), Scenario::best_case())
-            .with_permutation(Arc::new(vec![0, 1]))
-            .materialize();
+        let variant = SystemVariant::new(base.clone(), Scenario::best_case())
+            .with_permutation(Arc::new(vec![0, 1]));
+        let v = variant.materialize();
+        let ids: Vec<CanId> = v.messages().iter().map(|m| m.id).collect();
+        assert_eq!(variant.ids(), ids);
         assert_eq!(v.messages()[0].id.raw(), 0x100);
         assert_eq!(v.messages()[1].id.raw(), 0x200);
         let mut before: Vec<u32> = net().messages().iter().map(|m| m.id.raw()).collect();
@@ -464,7 +445,6 @@ mod tests {
             .with_jitter_ratio(0.25)
             .with_permutation(Arc::new(vec![1, 0]));
         assert_ne!(a.key(), e.key());
-        assert_eq!(a.key(), e.anchor_key());
 
         let mut other = net();
         other.messages_mut()[0].dlc = Dlc::new(1);

@@ -8,9 +8,10 @@ use std::str::FromStr;
 ///
 /// [`ServerConfig::from_env`] reads each field from the
 /// `CARTA_SERVER_*` variable named in its doc comment; unset or
-/// unparsable variables fall back to the default (a service must come
-/// up even with a typo in its unit file — the effective config is what
-/// `/v1/metrics` consumers observe, not what the environment claims).
+/// unparsable tuning variables fall back to the default (the effective
+/// config is what `/v1/metrics` consumers observe, not what the
+/// environment claims). The auth map is the exception: a malformed
+/// `CARTA_SERVER_TOKENS` refuses to boot rather than disable auth.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address (`CARTA_SERVER_ADDR`). Use port `0` to let the
@@ -101,6 +102,13 @@ impl Default for ServerConfig {
 impl ServerConfig {
     /// The defaults overridden by whatever `CARTA_SERVER_*` variables
     /// are set (and parsable) in the environment.
+    ///
+    /// # Panics
+    ///
+    /// Panics — so the server refuses to boot — when
+    /// `CARTA_SERVER_TOKENS` is set but holds an entry without a `=` or
+    /// with an empty token or tenant. Skipping the entry instead could
+    /// leave the map empty, which would silently disable auth.
     pub fn from_env() -> Self {
         let d = ServerConfig::default();
         ServerConfig {
@@ -122,9 +130,10 @@ impl ServerConfig {
             state_dir: std::env::var("CARTA_SERVER_STATE_DIR")
                 .ok()
                 .filter(|v| !v.is_empty()),
-            tokens: std::env::var("CARTA_SERVER_TOKENS")
-                .map(|v| parse_tokens(&v))
-                .unwrap_or(d.tokens),
+            tokens: match std::env::var("CARTA_SERVER_TOKENS") {
+                Ok(raw) => parse_tokens(&raw).unwrap_or_else(|e| panic!("{e}")),
+                Err(_) => d.tokens,
+            },
             keepalive_max: env_parse("CARTA_SERVER_KEEPALIVE_MAX", d.keepalive_max).max(1),
             idle_ms: env_parse("CARTA_SERVER_IDLE_MS", d.idle_ms).max(1),
         }
@@ -145,18 +154,18 @@ impl ServerConfig {
     }
 }
 
-/// Parses `token1=tenant1,token2=tenant2`; entries without a `=` or
-/// with an empty side are skipped rather than failing the boot.
-fn parse_tokens(raw: &str) -> Vec<(String, String)> {
+/// Parses `token1=tenant1,token2=tenant2`, failing closed: the error
+/// names the first entry without a `=` or with an empty side.
+fn parse_tokens(raw: &str) -> Result<Vec<(String, String)>, String> {
     raw.split(',')
-        .filter_map(|entry| {
-            let (token, tenant) = entry.trim().split_once('=')?;
-            let (token, tenant) = (token.trim(), tenant.trim());
-            if token.is_empty() || tenant.is_empty() {
-                None
-            } else {
-                Some((token.to_string(), tenant.to_string()))
+        .map(|entry| match entry.split_once('=') {
+            Some((token, tenant)) if !token.trim().is_empty() && !tenant.trim().is_empty() => {
+                Ok((token.trim().to_string(), tenant.trim().to_string()))
             }
+            _ => Err(format!(
+                "CARTA_SERVER_TOKENS entry {:?} is not `token=tenant`; refusing to boot",
+                entry.trim()
+            )),
         })
         .collect()
 }
@@ -185,9 +194,8 @@ mod tests {
     }
 
     #[test]
-    fn token_map_parses_and_skips_malformed_entries() {
-        let tokens = parse_tokens("alpha=oem-1, beta = supplier-2 ,junk,=x,y=");
-        assert_eq!(tokens.len(), 2);
+    fn token_map_parses_well_formed_entries() {
+        let tokens = parse_tokens("alpha=oem-1, beta = supplier-2 ").expect("well formed");
         let config = ServerConfig {
             tokens,
             ..ServerConfig::default()
@@ -196,5 +204,35 @@ mod tests {
         assert_eq!(config.tenant_for_token("alpha"), Some("oem-1"));
         assert_eq!(config.tenant_for_token("beta"), Some("supplier-2"));
         assert_eq!(config.tenant_for_token("junk"), None);
+    }
+
+    #[test]
+    fn token_map_rejects_malformed_entries_by_name() {
+        for (raw, bad) in [
+            ("alpha=oem-1,junk", "junk"),
+            ("=x", "=x"),
+            ("alpha=oem-1, y= ", "y="),
+            ("alpha=oem-1,", ""),
+            ("", ""),
+        ] {
+            let err = parse_tokens(raw).expect_err(raw);
+            assert!(err.contains(&format!("{bad:?}")), "{raw}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_token_typo_never_disables_auth() {
+        // `:` instead of `=`: skipping the entry would leave no tokens
+        // and switch auth off; the boot must fail instead.
+        match parse_tokens("tok:oem") {
+            Ok(tokens) => {
+                let config = ServerConfig {
+                    tokens,
+                    ..ServerConfig::default()
+                };
+                assert!(config.auth_enabled(), "a typo disabled auth");
+            }
+            Err(e) => assert!(e.contains("\"tok:oem\""), "{e}"),
+        }
     }
 }

@@ -14,7 +14,7 @@ use carta_can::error_model::ErrorModel;
 use carta_can::frame::{Dlc, StuffingMode};
 use carta_can::message::CanId;
 use carta_can::network::CanNetwork;
-use carta_can::rta::{analyze_bus, analyze_bus_incremental, hp_index_sets, AnalysisConfig};
+use carta_can::rta::{analyze_bus, AnalysisConfig};
 use carta_can::rta::{BusReport, MessageReport};
 use carta_core::time::Time;
 use carta_engine::prelude::{
@@ -70,7 +70,6 @@ pub fn all_laws() -> Vec<Box<dyn Law>> {
         Box::new(PriorityRaiseDominance),
         Box::new(ErrorModelDominance),
         Box::new(BitRateScaling),
-        Box::new(IncrementalEqualsFull),
         Box::new(CompiledEqualsNaive),
         Box::new(OverlayEqualsRebuilt),
         Box::new(LoadSchedulability),
@@ -268,57 +267,11 @@ impl Law for BitRateScaling {
     }
 }
 
-/// Incremental re-analysis after an identifier permutation must be
-/// bit-identical to a full analysis of the permuted network.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IncrementalEqualsFull;
-
-impl Law for IncrementalEqualsFull {
-    fn name(&self) -> &'static str {
-        "incremental-equals-full"
-    }
-
-    fn check(&self, net: &CanNetwork, case: &LawCase, _eval: &Evaluator) -> Result<(), Violation> {
-        let model = case.errors.model();
-        let config = AnalysisConfig::default();
-        let previous =
-            analyze_bus(net, model.as_ref(), &config).expect("generated networks are analyzable");
-        let hp = hp_index_sets(net);
-        let mut rng = StdRng::seed_from_u64(case.seed ^ 0x1d);
-        let mut ids: Vec<CanId> = net.messages().iter().map(|m| m.id).collect();
-        for i in (1..ids.len()).rev() {
-            ids.swap(i, rng.gen_range(0..=i));
-        }
-        let mut permuted = net.clone();
-        for (m, id) in permuted.messages_mut().iter_mut().zip(ids) {
-            m.id = id;
-        }
-        let (incremental, _) =
-            analyze_bus_incremental(&permuted, model.as_ref(), &config, &previous, &hp)
-                .expect("generated networks are analyzable");
-        let full = analyze_bus(&permuted, model.as_ref(), &config)
-            .expect("generated networks are analyzable");
-        for (a, b) in incremental.messages.iter().zip(full.messages.iter()) {
-            if !same_report_row(a, b) {
-                return Err(Violation::new(
-                    self.name(),
-                    format!(
-                        "incremental RTA diverged from the full analysis for `{}`: {:?} vs {:?} \
-                         (seed {})",
-                        a.name, a.outcome, b.outcome, case.seed
-                    ),
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The compiled RTA kernel must be invisible in the results: solving a
 /// parameter sequence through precompiled tables with one shared,
 /// warm-started workspace — and a permuted variant through
-/// [`CompiledBus::reordered`] tables, both incrementally and cold —
-/// is bit-identical to a fresh `analyze_bus` of each network.
+/// [`CompiledBus::reordered`] tables — is bit-identical to a fresh
+/// `analyze_bus` of each network.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompiledEqualsNaive;
 
@@ -367,7 +320,7 @@ impl Law for CompiledEqualsNaive {
         let mut ws = RtaWorkspace::new();
         // A non-monotone jitter sequence: warm starts engage where the
         // dominance gate allows and must fall back to cold where not.
-        let mut last: Option<(CanNetwork, BusReport)> = None;
+        let mut last: Option<CanNetwork> = None;
         for ratio in [0.0, 0.1, 0.3, 0.05] {
             let point = SystemVariant::new(Arc::clone(&base), scenario.clone())
                 .with_jitter_ratio(ratio)
@@ -376,32 +329,23 @@ impl Law for CompiledEqualsNaive {
             let fresh = analyze_bus(&point, model.as_ref(), &config)
                 .expect("generated networks are analyzable");
             self.same_report(&fast, &fresh, &format!("jitter ratio {ratio}"), case.seed)?;
-            last = Some((point, fast));
+            last = Some(point);
         }
         // Permutation variant: the reordered tables must agree with a
-        // fresh analysis, both when diffing against the previous report
-        // and when solving cold.
-        let (last_net, last_report) = last.expect("sequence is non-empty");
+        // fresh analysis of the permuted network.
+        let last = last.expect("sequence is non-empty");
         let mut rng = StdRng::seed_from_u64(case.seed ^ 0x5c);
-        let mut ids: Vec<CanId> = last_net.messages().iter().map(|m| m.id).collect();
+        let mut ids: Vec<CanId> = last.messages().iter().map(|m| m.id).collect();
         for i in (1..ids.len()).rev() {
             ids.swap(i, rng.gen_range(0..=i));
         }
-        let mut permuted = last_net.clone();
-        for (m, id) in permuted.messages_mut().iter_mut().zip(ids) {
-            m.id = id;
+        let mut permuted = last.clone();
+        for (m, id) in permuted.messages_mut().iter_mut().zip(&ids) {
+            m.id = *id;
         }
-        let reordered = compiled.reordered(&permuted);
+        let reordered = compiled.reordered(net, &ids);
         let fresh = analyze_bus(&permuted, model.as_ref(), &config)
             .expect("generated networks are analyzable");
-        let (incremental, _) = reordered.solve_incremental(
-            &permuted,
-            model.as_ref(),
-            &config,
-            &last_report,
-            compiled.hp_sets(),
-        );
-        self.same_report(&incremental, &fresh, "permutation (incremental)", case.seed)?;
         let cold = reordered.solve(&permuted, model.as_ref(), &config, &mut RtaWorkspace::new());
         self.same_report(&cold, &fresh, "permutation (cold)", case.seed)
     }
@@ -669,7 +613,7 @@ mod tests {
     #[test]
     fn catalogue_has_stable_unique_names() {
         let names = law_names();
-        assert_eq!(names.len(), 13);
+        assert_eq!(names.len(), 12);
         assert!(law_by_name(PROB_LAW).is_some());
         assert!(law_by_name("compiled-equals-naive").is_some());
         assert!(law_by_name("fd-dominates-classic-at-same-payload").is_some());

@@ -18,7 +18,7 @@
 //!   to a minimal counterexample,
 //! * [`laws`] — the metamorphic [`Law`](laws::Law) catalogue (jitter
 //!   monotonicity, priority-raise dominance, error-model dominance,
-//!   bit-rate scaling, incremental == full, overlay == rebuilt, load
+//!   bit-rate scaling, compiled == naive, overlay == rebuilt, load
 //!   vs schedulability, sim ≤ analysis, prob ≤ worst case),
 //! * [`chaos`] — the fault-injection harness:
 //!   [`FaultPlan`](carta_engine::prelude::FaultPlan)-armed evaluators

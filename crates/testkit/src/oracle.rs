@@ -2,7 +2,7 @@
 //!
 //! The oracle evaluates a network twice through the engine — once
 //! plainly, once through the identifier-permutation overlay that
-//! exercises the incremental-RTA path — then simulates the same system
+//! exercises the reordered-tables path — then simulates the same system
 //! and checks the paper's soundness claim: nothing the simulator
 //! observes may exceed the analytic bounds. A violation is shrunk
 //! greedily (drop messages, zero jitter, shrink payloads, simplify the
@@ -73,7 +73,7 @@ impl Default for DiffOracle {
 impl DiffOracle {
     /// Checks one network: analysis (plain and via the permutation
     /// overlay, both through [`Evaluator::evaluate_batch`] so the cache
-    /// and incremental paths are under test) must dominate a seeded
+    /// and permutation paths are under test) must dominate a seeded
     /// simulation.
     ///
     /// # Errors
@@ -100,8 +100,8 @@ impl DiffOracle {
         let base = BaseSystem::new(net.clone());
         let plain = SystemVariant::new(Arc::clone(&base), scenario.clone());
         // The identity permutation materializes to the very same
-        // network but routes the evaluation through the permutation /
-        // incremental-RTA machinery — its report must be identical.
+        // network but routes the evaluation through the permutation
+        // overlay's reordered tables — its report must be identical.
         let identity = Arc::new(net.priority_order());
         let permuted = SystemVariant::new(base, scenario).with_permutation(identity);
         let mut results = eval.evaluate_batch(&[plain, permuted]).into_iter();

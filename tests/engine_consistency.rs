@@ -118,10 +118,6 @@ fn large_deterministic_batches_are_bit_identical_across_jobs() {
     }
 }
 
-/// Permutation overlays ride the incremental re-analysis path, whose
-/// anchor availability *can* depend on scheduling — but the results may
-/// not: whether a permuted point diffs against an anchor or solves
-/// cold, the report must be bit-identical at any job count.
 #[test]
 fn permutation_batches_are_bit_identical_across_jobs() {
     let base = BaseSystem::new(random_network(&NetShape::two_node().messages(6), 7));
@@ -138,13 +134,18 @@ fn permutation_batches_are_bit_identical_across_jobs() {
             variants.push(v.clone().with_permutation(perm.clone()));
         }
     }
-    let mut reference: Option<Vec<EvalResult>> = None;
+    let mut reference: Option<(Vec<EvalResult>, CacheStats)> = None;
     for jobs in [1usize, 2, 8] {
         let eval = Evaluator::new(Parallelism::new(jobs));
         let out = eval.evaluate_batch(&variants);
+        let stats = eval.stats();
         match &reference {
-            None => reference = Some(out),
-            Some(ref_out) => {
+            None => reference = Some((out, stats)),
+            Some((ref_out, ref_stats)) => {
+                assert_eq!(
+                    &stats, ref_stats,
+                    "cache statistics must be reproducible at jobs={jobs}"
+                );
                 for (i, (a, b)) in out.iter().zip(ref_out).enumerate() {
                     let (a, b) = (a.as_ref().expect("valid"), b.as_ref().expect("valid"));
                     assert_eq!(a, b, "point {i} diverged at jobs={jobs}");
@@ -211,7 +212,7 @@ proptest! {
         let scenario = scenario_for(pick);
         let ratios = [0.0, 0.1, 0.25, 0.4, 0.6];
         // A rotation permutation derived from the seed (plus identity
-        // via `None`) exercises the incremental re-analysis path.
+        // via `None`) exercises the reordered-tables path.
         let n = net.messages().len();
         let rot = (seed as usize) % n;
         let perm: Arc<Vec<usize>> = Arc::new((0..n).map(|i| (i + rot) % n).collect());
