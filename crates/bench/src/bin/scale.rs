@@ -134,7 +134,7 @@ fn main() {
 
     let ncpu = Parallelism::available();
     // jobs ∈ {1, 2, 4, max}: on a single-core host the jobs>1 runs
-    // still execute (they price the chunked protocol's overhead and
+    // still execute (they price the worker threads' overhead and
     // feed the bit-identity check); only `max` collapses into the set.
     let mut job_counts: Vec<usize> = vec![1, 2, 4, ncpu];
     job_counts.sort_unstable();
@@ -205,8 +205,8 @@ fn main() {
                 .string("id", "scale/warm_1024pts")
                 .string(
                     "description",
-                    "same batch against a pre-warmed memo cache: the chunked read pass \
-                     answers every point without solving",
+                    "same batch against a pre-warmed memo cache: every point is a memo hit \
+                     and nothing is solved",
                 )
                 .num("median_us", (warm_s * 1e9).round() / 1e3)
                 .build(),
@@ -227,7 +227,7 @@ fn main() {
         .collect();
 
     let machine_note = if ncpu == 1 {
-        "single-core container: the jobs>1 rows price the chunked protocol's overhead \
+        "single-core container: the jobs>1 rows price the worker threads' overhead \
          (no parallel speedup is measurable here); on a multi-core host the curve records \
          real scaling"
             .to_string()

@@ -64,8 +64,8 @@
 //! [`CompiledBus::solve_batch`] iterates the solve over a slice of
 //! points against the compiled `c_max`/`c_min`/interference tables laid
 //! out once — no per-point network materialization, no per-point
-//! re-walk of message structs, and the per-batch setup (error-model
-//! description, mutation hook) hoisted out of the loop.
+//! re-walk of message structs, and the per-batch setup (the error-model
+//! description) hoisted out of the loop.
 //! [`CompiledBus::solve`] is the 1-point case of the same core, so
 //! batch and per-point solves are bit-identical against the same
 //! workspace sequence.
@@ -76,7 +76,7 @@ use crate::error_model::ErrorModel;
 use crate::frame::{bit_time, StuffingMode};
 use crate::message::CanId;
 use crate::network::CanNetwork;
-use crate::rta::{test_mutations, AnalysisConfig, BusReport, MessageReport, ResponseOutcome};
+use crate::rta::{AnalysisConfig, BusReport, MessageReport, ResponseOutcome};
 use carta_core::analysis::{AnalysisError, DivergenceCause, MessageDiagnostic, ResponseBounds};
 use carta_core::cancel::CancelToken;
 use carta_core::event_model::EventModel;
@@ -383,30 +383,15 @@ impl CompiledBus {
         let mut interference = Vec::with_capacity(n);
         let mut blocking = Vec::with_capacity(n);
         let mut per_hit = Vec::with_capacity(n);
-        let error_frame = Time::from_bits(backend.backend().error_frame_bits(), rate);
         let keys: Vec<_> = ids.iter().map(CanId::arbitration_key).collect();
-        for (i, m) in msgs.iter().enumerate() {
-            let key = keys[i];
+        for (i, &key) in keys.iter().enumerate() {
             let hp_i: Vec<usize> = (0..n).filter(|&j| keys[j] < key).collect();
             let lp_i: Vec<usize> = (0..n).filter(|&j| j != i && keys[j] > key).collect();
-            let interference_i: Vec<usize> = match net.controller_of(m) {
-                ControllerType::FullCan => hp_i.clone(),
-                ControllerType::BasicCan | ControllerType::FifoQueue { .. } => {
-                    let mut set = hp_i.clone();
-                    set.extend(lp_i.iter().copied().filter(|&j| msgs[j].sender != m.sender));
-                    set
-                }
-            };
-            let retx = interference_i
-                .iter()
-                .map(|&j| c_max[j])
-                .max()
-                .unwrap_or(c_max[i])
-                .max(c_max[i]);
-            blocking.push(crate::rta::blocking_for(net, i, &c_max, &lp_i));
-            per_hit.push(error_frame + retx);
+            let terms = demand_terms(net, &c_max, i, &hp_i, &lp_i);
             hp.push(hp_i);
-            interference.push(interference_i);
+            interference.push(terms.interference);
+            blocking.push(terms.blocking);
+            per_hit.push(terms.per_hit);
         }
         CompiledBus {
             epoch: next_epoch(),
@@ -464,6 +449,11 @@ impl CompiledBus {
     /// One bit time on the compiled bus.
     pub(crate) fn tau(&self) -> Time {
         self.tau
+    }
+
+    /// Per-message worst-case transmission times.
+    pub(crate) fn c_max(&self) -> &[Time] {
+        &self.c_max
     }
 
     /// Per-message error overhead per hit (error frame plus the longest
@@ -568,9 +558,7 @@ impl CompiledBus {
         config: &AnalysisConfig,
         ws: &mut RtaWorkspace,
     ) -> BusReport {
-        let desc = errors.describe();
-        let hook = test_mutations::drop_blocking();
-        match self.solve_core(point, errors, &desc, hook, config, None, ws) {
+        match self.solve_core(point, errors, &errors.describe(), config, None, ws) {
             Ok(report) => report,
             // solve_core only aborts when a token trips; `None` cannot.
             Err(_) => unreachable!("uncancellable solve reported cancellation"),
@@ -597,16 +585,14 @@ impl CompiledBus {
         cancel: &CancelToken,
         ws: &mut RtaWorkspace,
     ) -> Result<BusReport, AnalysisError> {
-        let desc = errors.describe();
-        let hook = test_mutations::drop_blocking();
-        self.solve_core(point, errors, &desc, hook, config, Some(cancel), ws)
+        self.solve_core(point, errors, &errors.describe(), config, Some(cancel), ws)
     }
 
     /// Iterates the solve phase over a slice of SoA points against the
     /// compiled per-message vectors laid out once, carrying warm-start
     /// state from point to point through `ws` under the usual dominance
-    /// gate. Per-batch setup (error-model description, mutation-hook
-    /// probe) is hoisted out of the loop; each point is otherwise
+    /// gate. Per-batch setup (the error-model description) is hoisted
+    /// out of the loop; each point is otherwise
     /// solved exactly like [`CompiledBus::solve_point`], so the reports
     /// are bit-identical to per-point solves against the same workspace
     /// sequence. Returns the reports plus the batch's aggregated
@@ -624,12 +610,11 @@ impl CompiledBus {
         ws: &mut RtaWorkspace,
     ) -> (Vec<BusReport>, SolveStats) {
         let desc = errors.describe();
-        let hook = test_mutations::drop_blocking();
         let mut agg = SolveStats::default();
         let reports = points
             .iter()
             .map(|point| {
-                let report = match self.solve_core(point, errors, &desc, hook, config, None, ws) {
+                let report = match self.solve_core(point, errors, &desc, config, None, ws) {
                     Ok(report) => report,
                     Err(_) => unreachable!("uncancellable solve reported cancellation"),
                 };
@@ -644,8 +629,8 @@ impl CompiledBus {
     }
 
     /// The shared solve core: one SoA point against the compiled
-    /// tables. `desc` and `hook` are hoisted by the callers so batches
-    /// pay for them once. `cancel` (when present) is polled between
+    /// tables. `desc` is hoisted by the callers so batches pay for it
+    /// once. `cancel` (when present) is polled between
     /// per-message fixpoints; a trip abandons the whole point with
     /// `Err(Cancelled)` after invalidating the warm-start state.
     #[allow(clippy::too_many_arguments)]
@@ -654,7 +639,6 @@ impl CompiledBus {
         point: &SolvePoint,
         errors: &dyn ErrorModel,
         desc: &str,
-        hook: bool,
         config: &AnalysisConfig,
         cancel: Option<&CancelToken>,
         ws: &mut RtaWorkspace,
@@ -671,8 +655,7 @@ impl CompiledBus {
         let _span = span!("rta.bus", msgs = n);
 
         ws.resize(n);
-        let warm_base = !hook
-            && ws.epoch == self.epoch
+        let warm_base = ws.epoch == self.epoch
             && ws.errors_desc == desc
             && ws.horizon == config.horizon
             && ws.max_instances == config.max_instances
@@ -696,7 +679,7 @@ impl CompiledBus {
                 return Err(AnalysisError::Cancelled);
             }
             let warm = warm_base && self.interference[i].iter().all(|&j| ws.dominates[j]);
-            let blocking = if hook { Time::ZERO } else { self.blocking[i] };
+            let blocking = self.blocking[i];
             let mut iterations = 0u64;
             let mut w_next = std::mem::take(&mut ws.w_next);
             let outcome = {
@@ -757,20 +740,13 @@ impl CompiledBus {
             });
         }
 
-        if hook {
-            // Fault-injected solves must not seed warm state: the hook
-            // can be flipped back off between solves, which would break
-            // the demand-dominance premise.
-            ws.invalidate();
-        } else {
-            ws.epoch = self.epoch;
-            ws.errors_desc.clear();
-            ws.errors_desc.push_str(desc);
-            ws.horizon = config.horizon;
-            ws.max_instances = config.max_instances;
-            ws.activations.clear();
-            ws.activations.extend_from_slice(acts);
-        }
+        ws.epoch = self.epoch;
+        ws.errors_desc.clear();
+        ws.errors_desc.push_str(desc);
+        ws.horizon = config.horizon;
+        ws.max_instances = config.max_instances;
+        ws.activations.clear();
+        ws.activations.extend_from_slice(acts);
         ws.last = stats;
 
         if recording {
@@ -804,6 +780,86 @@ pub(crate) struct BusyAbort {
     pub(crate) q: u64,
     /// Which budget was exhausted.
     pub(crate) cause: DivergenceCause,
+}
+
+/// The controller-specific demand terms of one message: what its
+/// busy-window fixpoint charges besides its own frames.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct DemandTerms {
+    /// Messages whose `η⁺` feeds the demand.
+    pub(crate) interference: Vec<usize>,
+    /// Total (bus + controller-local) blocking.
+    pub(crate) blocking: Time,
+    /// Error overhead per hit: error frame plus the longest frame that
+    /// may need resending while the message waits.
+    pub(crate) per_hit: Time,
+}
+
+/// Derives the demand terms of message `i` from explicit higher- and
+/// lower-priority index sets — the one place the controller rules
+/// live, shared by [`CompiledBus::compile`] and
+/// [`crate::opa::audsley_assignment`]. The terms depend only on the
+/// *sets* (never on the order within them), which is exactly the
+/// property Audsley's optimal priority assignment requires.
+///
+/// For a fullCAN sender, lower-priority traffic contributes one frame
+/// of non-preemption blocking. For basicCAN and FIFO senders, the
+/// unrevokable local frame ahead of `i` can lose arbitration
+/// *repeatedly* against other nodes' frames of any priority, so **all**
+/// other-node messages count as full interference (sound,
+/// conservative; the one just-started other-node frame is subsumed by
+/// `η⁺ ≥ 1`), while same-node frames ahead of `i` appear as
+/// controller-local blocking.
+pub(crate) fn demand_terms(
+    net: &CanNetwork,
+    c_max: &[Time],
+    i: usize,
+    hp: &[usize],
+    lp: &[usize],
+) -> DemandTerms {
+    let msgs = net.messages();
+    let m = &msgs[i];
+    let controller = net.controller_of(m);
+    let interference = match controller {
+        ControllerType::FullCan => hp.to_vec(),
+        ControllerType::BasicCan | ControllerType::FifoQueue { .. } => {
+            let mut set = hp.to_vec();
+            set.extend(lp.iter().copied().filter(|&j| msgs[j].sender != m.sender));
+            set
+        }
+    };
+    // fullCAN: one just-started lower-priority frame on the bus;
+    // basicCAN: the same-node lower-priority frame holding the register;
+    // FIFO: up to `depth − 1` same-node frames queued ahead.
+    let blocking = match controller {
+        ControllerType::FullCan => lp.iter().map(|&j| c_max[j]).max(),
+        ControllerType::BasicCan => lp
+            .iter()
+            .filter(|&&j| msgs[j].sender == m.sender)
+            .map(|&j| c_max[j])
+            .max(),
+        ControllerType::FifoQueue { depth } => {
+            let mut same: Vec<Time> = (0..msgs.len())
+                .filter(|&j| j != i && msgs[j].sender == m.sender)
+                .map(|j| c_max[j])
+                .collect();
+            same.sort_unstable_by(|a, b| b.cmp(a));
+            Some(same.into_iter().take(depth.saturating_sub(1)).sum())
+        }
+    }
+    .unwrap_or(Time::ZERO);
+    let retx = interference
+        .iter()
+        .map(|&j| c_max[j])
+        .max()
+        .unwrap_or(c_max[i])
+        .max(c_max[i]);
+    let error_frame = Time::from_bits(net.backend().backend().error_frame_bits(), net.bit_rate());
+    DemandTerms {
+        interference,
+        blocking,
+        per_hit: error_frame + retx,
+    }
 }
 
 /// Busy-window iteration for one message; returns `(wcrt, instances)`

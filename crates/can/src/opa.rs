@@ -15,12 +15,13 @@
 //! no multi-point trade-offs) — exactly the comparison the benches in
 //! `carta-bench` draw.
 
+use crate::compiled::{busy_window, demand_terms, CompiledBus};
 use crate::error_model::ErrorModel;
-use crate::frame::bit_time;
 use crate::message::CanId;
 use crate::network::CanNetwork;
-use crate::rta::{c_max_vector, wcrt_for_sets, AnalysisConfig};
+use crate::rta::AnalysisConfig;
 use carta_core::analysis::AnalysisError;
+use carta_core::event_model::EventModel;
 
 /// The result of a successful OPA run: `order[k]` is the index of the
 /// message that receives the `k`-th **strongest** identifier.
@@ -66,16 +67,15 @@ pub fn audsley_assignment(
     errors: &dyn ErrorModel,
     config: &AnalysisConfig,
 ) -> Result<Option<PriorityOrder>, AnalysisError> {
-    net.validate()
-        .map_err(|e| AnalysisError::InvalidModel(e.to_string()))?;
-    let n = net.messages().len();
-    let c_max = c_max_vector(net, config.stuffing);
-    let tau = bit_time(net.bit_rate());
+    let compiled = CompiledBus::compile(net, config.stuffing)?;
+    let n = compiled.len();
+    let activations: Vec<EventModel> = net.messages().iter().map(|m| m.activation).collect();
     let deadlines: Vec<_> = net
         .messages()
         .iter()
         .map(|m| m.resolved_deadline())
         .collect();
+    let mut window = Vec::new();
 
     let mut unassigned: Vec<usize> = (0..n).collect();
     let mut assigned_low: Vec<usize> = Vec::new(); // filled lowest-first
@@ -91,15 +91,19 @@ pub fn audsley_assignment(
                 .copied()
                 .filter(|&j| j != candidate)
                 .collect();
-            let ok = wcrt_for_sets(
-                net,
-                &c_max,
+            let terms = demand_terms(net, compiled.c_max(), candidate, &hp, &assigned_low);
+            let ok = busy_window(
+                &activations,
                 candidate,
-                &hp,
-                &assigned_low,
-                tau,
+                &terms.interference,
+                compiled.c_max(),
+                terms.blocking,
+                compiled.tau(),
                 errors,
+                terms.per_hit,
                 config,
+                &[],
+                &mut window,
                 &mut probe_iterations,
             )
             .is_ok_and(|(wcrt, _)| wcrt <= deadlines[candidate]);

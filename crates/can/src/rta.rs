@@ -20,7 +20,6 @@
 
 use crate::backend::BackendConfig;
 use crate::compiled::{CompiledBus, RtaWorkspace};
-use crate::controller::ControllerType;
 use crate::error_model::ErrorModel;
 use crate::frame::StuffingMode;
 use crate::message::CanId;
@@ -304,157 +303,10 @@ pub fn analyze_bus(
     Ok(compiled.solve(net, errors, config, &mut RtaWorkspace::new()))
 }
 
-/// Fault-injection hooks for verification tooling.
-///
-/// `carta-testkit` proves its differential oracle can actually catch a
-/// broken analysis by flipping these switches, running the fuzz loop,
-/// and asserting a violation is found and shrunk. They are process-wide
-/// and **must never be enabled outside such a self-test**.
-#[doc(hidden)]
-pub mod test_mutations {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static DROP_BLOCKING: AtomicBool = AtomicBool::new(false);
-
-    /// When enabled, the analysis unsoundly drops the blocking term.
-    pub fn set_drop_blocking(enabled: bool) {
-        DROP_BLOCKING.store(enabled, Ordering::SeqCst);
-    }
-
-    pub(crate) fn drop_blocking() -> bool {
-        DROP_BLOCKING.load(Ordering::SeqCst)
-    }
-}
-
-/// The total blocking charged to message `i`: for fullCAN senders, one
-/// lower-priority frame of bus blocking plus nothing local; for
-/// basicCAN/FIFO senders, the local queue-ahead frames (other-node
-/// lower-priority traffic is charged as interference instead — its one
-/// just-started frame is subsumed by `η⁺ ≥ 1`).
-pub(crate) fn effective_blocking(net: &CanNetwork, i: usize, c_max: &[Time], lp: &[usize]) -> Time {
-    if test_mutations::drop_blocking() {
-        return Time::ZERO;
-    }
-    blocking_for(net, i, c_max, lp)
-}
-
-/// [`effective_blocking`] without the fault-injection hook — the pure
-/// term [`crate::compiled::CompiledBus`] precompiles (the hook is
-/// re-checked at solve time so compiled tables stay hook-agnostic).
-pub(crate) fn blocking_for(net: &CanNetwork, i: usize, c_max: &[Time], lp: &[usize]) -> Time {
-    let m = &net.messages()[i];
-    let bus_blocking = match net.controller_of(m) {
-        ControllerType::FullCan => lp.iter().map(|&j| c_max[j]).max().unwrap_or(Time::ZERO),
-        ControllerType::BasicCan | ControllerType::FifoQueue { .. } => Time::ZERO,
-    };
-    bus_blocking + controller_blocking(net, i, c_max, lp)
-}
-
-/// Controller-specific local blocking of message `i` by its own node's
-/// other messages (see [`ControllerType`]), given the explicit set of
-/// lower-priority message indices.
-fn controller_blocking(net: &CanNetwork, i: usize, c_max: &[Time], lp: &[usize]) -> Time {
-    let msgs = net.messages();
-    let m = &msgs[i];
-    match net.controller_of(m) {
-        ControllerType::FullCan => Time::ZERO,
-        ControllerType::BasicCan => lp
-            .iter()
-            .filter(|&&j| msgs[j].sender == m.sender)
-            .map(|&j| c_max[j])
-            .max()
-            .unwrap_or(Time::ZERO),
-        ControllerType::FifoQueue { depth } => {
-            let mut same: Vec<Time> = msgs
-                .iter()
-                .enumerate()
-                .filter(|(j, other)| *j != i && other.sender == m.sender)
-                .map(|(j, _)| c_max[j])
-                .collect();
-            same.sort_unstable_by(|a, b| b.cmp(a));
-            same.into_iter().take(depth.saturating_sub(1)).sum()
-        }
-    }
-}
-
-/// Computes the response outcome of message `i` given explicit
-/// higher-/lower-priority index sets. The result depends only on the
-/// *sets* (never on the order within them), which is exactly the
-/// property Audsley's optimal priority assignment requires — see
-/// [`crate::opa`].
-///
-/// Controller handling: for a fullCAN sender, lower-priority traffic
-/// contributes one frame of non-preemption blocking. For basicCAN and
-/// FIFO senders, the unrevokable local frame ahead of `i` can lose
-/// arbitration *repeatedly* against other nodes' frames of any
-/// priority, so **all** other-node messages are counted as full
-/// interference (sound, conservative), while same-node frames ahead of
-/// `i` appear as controller blocking.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn wcrt_for_sets(
-    net: &CanNetwork,
-    c_max: &[Time],
-    i: usize,
-    hp: &[usize],
-    lp: &[usize],
-    tau: Time,
-    errors: &dyn ErrorModel,
-    config: &AnalysisConfig,
-    iterations: &mut u64,
-) -> Result<(Time, u64), crate::compiled::BusyAbort> {
-    let rate = net.bit_rate();
-    let msgs = net.messages();
-    let m = &msgs[i];
-    let interference: Vec<usize> = match net.controller_of(m) {
-        ControllerType::FullCan => hp.to_vec(),
-        ControllerType::BasicCan | ControllerType::FifoQueue { .. } => {
-            let mut set = hp.to_vec();
-            set.extend(lp.iter().copied().filter(|&j| msgs[j].sender != m.sender));
-            set
-        }
-    };
-    let blocking = effective_blocking(net, i, c_max, lp);
-    // Error overhead per hit: error frame + retransmission of the
-    // longest frame that may need resending while `i` waits.
-    let retx = interference
-        .iter()
-        .map(|&j| c_max[j])
-        .max()
-        .unwrap_or(c_max[i])
-        .max(c_max[i]);
-    let per_hit = Time::from_bits(net.backend().backend().error_frame_bits(), rate) + retx;
-    let activations: Vec<carta_core::event_model::EventModel> =
-        msgs.iter().map(|m| m.activation).collect();
-    crate::compiled::busy_window(
-        &activations,
-        i,
-        &interference,
-        c_max,
-        blocking,
-        tau,
-        errors,
-        per_hit,
-        config,
-        &[],
-        &mut Vec::new(),
-        iterations,
-    )
-}
-
-/// Worst-case transmission times of all messages under `stuffing`,
-/// derived from the network's bus backend.
-pub(crate) fn c_max_vector(net: &CanNetwork, stuffing: StuffingMode) -> Vec<Time> {
-    let rate = net.bit_rate();
-    let backend = net.backend();
-    net.messages()
-        .iter()
-        .map(|m| backend.c_max(m.id.kind(), m.dlc, stuffing, rate))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::ControllerType;
     use crate::error_model::{BurstErrors, NoErrors, SporadicErrors};
     use crate::frame::Dlc;
     use crate::message::{CanMessage, DeadlinePolicy};

@@ -56,8 +56,6 @@ fn loss_metrics_document_has_required_keys() {
         "engine.cache.misses",
         "engine.batch.chunks",
         "engine.batch.worker_points",
-        "engine.batch.publish_flushes",
-        "engine.batch.shard_waits",
         "rta.iterations",
         "sweep.runs",
         "sweep.points",

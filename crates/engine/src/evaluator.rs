@@ -32,7 +32,7 @@ pub type EvalResult = Result<Arc<BusReport>, AnalysisError>;
 type CompiledEntry = Result<Arc<CompiledBus>, AnalysisError>;
 
 /// Result of one probabilistic evaluation: the convolved distribution
-/// report, or the model error (cached like [`EvalResult`]).
+/// report, or the model error (which the deterministic memo caches).
 pub type ProbEvalResult = Result<Arc<ProbBusReport>, AnalysisError>;
 
 /// How many worker threads a batch may use.
@@ -216,11 +216,12 @@ impl CacheStats {
 
 const SHARDS: usize = 16;
 
-/// Fixed batch chunk size: chunk `c` of a batch always runs on worker
-/// `c % jobs`, making work assignment a pure function of the batch —
-/// not of scheduling. 64 points amortize the chunked cache protocol's
-/// two lock passes while keeping tail imbalance under a millisecond of
-/// work.
+/// Fixed batch chunk size — the warm-start and determinism unit: chunk
+/// `c` of a batch always runs on worker `c % jobs` from invalidated
+/// warm-start state, making work assignment and solve statistics a
+/// pure function of the batch, not of scheduling. 64 points keep
+/// warm-start runs long while keeping tail imbalance under a
+/// millisecond of work.
 const BATCH_CHUNK: usize = 64;
 
 /// One planned unit of batch work: a chunk of the input and the
@@ -267,6 +268,74 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
+/// The one memo policy every evaluation goes through: [`SHARDS`]
+/// hash-sharded maps keyed by [`VariantKey`]. Each shard holds at most
+/// its share of [`EvaluatorBuilder::cache_capacity`]; a full shard is
+/// cleared whole before the next insert (deterministic and
+/// correctness-neutral: evicted variants are simply re-analysed on
+/// their next request).
+///
+/// Poisoned locks are recovered, not propagated: shards only ever hold
+/// fully-constructed entries (no lock is held across an analysis), so
+/// a panic on another thread cannot leave a torn value behind.
+struct Memo<T> {
+    shards: Vec<Mutex<HashMap<VariantKey, T>>>,
+    /// Per-shard entry budget; `None` is unbounded.
+    shard_capacity: Option<usize>,
+}
+
+impl<T: Clone> Memo<T> {
+    fn new(shard_capacity: Option<usize>) -> Self {
+        Memo {
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shard_capacity,
+        }
+    }
+
+    /// Locks `key`'s shard, counting contended acquisitions while
+    /// metrics are active.
+    fn shard(
+        &self,
+        key: &VariantKey,
+        metrics: &EngineMetrics,
+    ) -> MutexGuard<'_, HashMap<VariantKey, T>> {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        let shard = &self.shards[(h.finish() as usize) % SHARDS];
+        if !metrics.active() {
+            return shard.lock().unwrap_or_else(PoisonError::into_inner);
+        }
+        match shard.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::WouldBlock) => {
+                metrics.contention.inc();
+                shard.lock().unwrap_or_else(PoisonError::into_inner)
+            }
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+        }
+    }
+
+    fn get(&self, key: &VariantKey, metrics: &EngineMetrics) -> Option<T> {
+        self.shard(key, metrics).get(key).cloned()
+    }
+
+    /// Stores `value` under `key` and returns the canonical entry:
+    /// racing threads may both compute, and the first insert wins so
+    /// all callers share one value.
+    fn insert(&self, key: VariantKey, value: T, metrics: &EngineMetrics) -> T {
+        let mut shard = self.shard(&key, metrics);
+        if let Some(capacity) = self.shard_capacity {
+            if shard.len() >= capacity && !shard.contains_key(&key) {
+                if metrics.active() {
+                    metrics.evictions.add(shard.len() as u64);
+                }
+                shard.clear();
+            }
+        }
+        shard.entry(key).or_insert(value).clone()
+    }
+}
+
 /// Pre-resolved metric handles for the engine's hot paths.
 ///
 /// Handles are resolved once at evaluator construction so the per-point
@@ -289,8 +358,6 @@ struct EngineMetrics {
     queue_depth: Arc<Histogram>,
     batch_chunks: Arc<Counter>,
     batch_worker_points: Arc<Histogram>,
-    batch_publish_flushes: Arc<Counter>,
-    batch_shard_waits: Arc<Counter>,
     rta_compiles: Arc<Counter>,
     rta_warm_starts: Arc<Counter>,
     rta_cold_starts: Arc<Counter>,
@@ -313,8 +380,6 @@ impl EngineMetrics {
             queue_depth: registry.histogram("engine.batch.queue_depth"),
             batch_chunks: registry.counter("engine.batch.chunks"),
             batch_worker_points: registry.histogram("engine.batch.worker_points"),
-            batch_publish_flushes: registry.counter("engine.batch.publish_flushes"),
-            batch_shard_waits: registry.counter("engine.batch.shard_waits"),
             rta_compiles: registry.counter("engine.rta.compiles"),
             rta_warm_starts: registry.counter("engine.rta.warm_starts"),
             rta_cold_starts: registry.counter("engine.rta.cold_starts"),
@@ -375,10 +440,11 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Bounds the memo cache to roughly `capacity` entries. When a
-    /// cache shard outgrows its share the whole shard is cleared (a
-    /// deterministic, correctness-neutral policy: evicted variants are
-    /// simply re-analysed on their next request). Unbounded by default.
+    /// Bounds the memo cache to roughly `capacity` entries, separately
+    /// for deterministic and probabilistic reports. When a cache shard
+    /// outgrows its share the whole shard is cleared (a deterministic,
+    /// correctness-neutral policy: evicted variants are simply
+    /// re-analysed on their next request). Unbounded by default.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = Some(capacity);
         self
@@ -406,17 +472,16 @@ impl EvaluatorBuilder {
             None => EngineMetrics::bind(metrics::global(), false),
         };
         static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        // Per-shard budget; a capacity below SHARDS still keeps one
+        // entry per shard rather than thrashing on every insert.
+        let shard_capacity = self.cache_capacity.map(|c| (c / SHARDS).max(1));
         Evaluator {
             shared: Arc::new(EvalShared {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 parallelism: self.parallelism.unwrap_or_else(Parallelism::from_env),
-                // Per-shard budget; a capacity below SHARDS still keeps
-                // one entry per shard rather than thrashing on every
-                // insert.
-                shard_capacity: self.cache_capacity.map(|c| (c / SHARDS).max(1)),
-                shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+                reports: Memo::new(shard_capacity),
+                probs: Memo::new(shard_capacity),
                 compiled: Mutex::new(HashMap::new()),
-                prob: Mutex::new(HashMap::new()),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 compiles: AtomicU64::new(0),
@@ -440,15 +505,15 @@ struct EvalShared {
     /// this evaluator.
     id: u64,
     parallelism: Parallelism,
-    shard_capacity: Option<usize>,
-    shards: Vec<Mutex<HashMap<VariantKey, EvalResult>>>,
+    reports: Memo<EvalResult>,
+    /// Probabilistic reports. Only successes are stored: an error came
+    /// from the deterministic memo, which already holds the cacheable
+    /// ones, or is transient.
+    probs: Memo<ProbEvalResult>,
     /// One compiled bus per (base fingerprint, stuffing mode), shared
     /// by every worker thread; compile errors are cached alongside so a
     /// malformed base is validated once.
     compiled: Mutex<HashMap<(u64, StuffingMode), CompiledEntry>>,
-    /// Memoized probabilistic reports, keyed like the deterministic
-    /// shards; prob traffic is rare enough that one map suffices.
-    prob: Mutex<HashMap<VariantKey, ProbEvalResult>>,
     hits: AtomicU64,
     misses: AtomicU64,
     compiles: AtomicU64,
@@ -550,16 +615,16 @@ impl Evaluator {
     /// Evaluates one variant probabilistically: the deterministic
     /// error-free and full analyses feed [`prob_from_reports`],
     /// producing per-message response-time distributions and
-    /// deadline-miss probabilities. Results are memoized by the same
-    /// structural [`VariantKey`] as [`Evaluator::evaluate`]; both
-    /// underlying deterministic analyses also land in the regular memo
-    /// cache.
+    /// deadline-miss probabilities. Successful reports are memoized by
+    /// the same structural [`VariantKey`] as [`Evaluator::evaluate`],
+    /// under the same capacity bound; both underlying deterministic
+    /// analyses also land in the regular memo cache.
     ///
     /// # Errors
     ///
-    /// Propagates (and caches) [`AnalysisError`] for malformed bases;
-    /// returns (but never caches) [`AnalysisError::Cancelled`] on a
-    /// tripped cancel scope.
+    /// Propagates [`AnalysisError`] for malformed bases (cached by the
+    /// deterministic memo), and returns [`AnalysisError::Cancelled`] on
+    /// a tripped cancel scope. No error enters the prob memo.
     pub fn evaluate_prob(&self, variant: &SystemVariant) -> ProbEvalResult {
         self.shared.evaluate_prob(variant, self.cancel.as_ref())
     }
@@ -590,143 +655,65 @@ impl EvalShared {
         }
     }
 
-    fn shard_index(&self, key: &VariantKey) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % SHARDS
-    }
-
-    /// Locks shard `s`, counting contended acquisitions while metrics
-    /// are active (`batch` attributes the wait to the chunked batch
-    /// protocol rather than point-wise cache contention).
-    ///
-    /// Poisoned locks are recovered, not propagated: shards only ever
-    /// hold fully-constructed entries (no lock is held across an
-    /// analysis), so a panic on another thread cannot leave a torn
-    /// value behind.
-    fn lock_shard_at(
+    /// The one memoized evaluation path: the cancel check, the memo
+    /// lookup, the hit/miss counts, and `compute` on a miss — whose
+    /// result is stored only when it reports itself cacheable.
+    fn memoized<T>(
         &self,
-        s: usize,
-        batch: bool,
-    ) -> MutexGuard<'_, HashMap<VariantKey, EvalResult>> {
-        let shard = &self.shards[s];
-        if !self.metrics.active() {
-            return shard.lock().unwrap_or_else(PoisonError::into_inner);
-        }
-        match shard.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                if batch {
-                    self.metrics.batch_shard_waits.inc();
-                } else {
-                    self.metrics.contention.inc();
-                }
-                shard.lock().unwrap_or_else(PoisonError::into_inner)
-            }
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-        }
-    }
-
-    fn lock_shard(&self, key: &VariantKey) -> MutexGuard<'_, HashMap<VariantKey, EvalResult>> {
-        self.lock_shard_at(self.shard_index(key), false)
-    }
-
-    /// Cache-consulting evaluation core; `cancel` (when present) is
-    /// polled at entry and through the solve loop.
-    fn evaluate(&self, variant: &SystemVariant, cancel: Option<&CancelToken>) -> EvalResult {
+        memo: &Memo<Result<Arc<T>, AnalysisError>>,
+        variant: &SystemVariant,
+        cancel: Option<&CancelToken>,
+        compute: impl FnOnce() -> (Result<Arc<T>, AnalysisError>, bool),
+    ) -> Result<Arc<T>, AnalysisError> {
         if cancel.is_some_and(|token| token.is_cancelled()) {
             return Err(AnalysisError::Cancelled);
         }
         let key = variant.key();
-        if let Some(cached) = self.lock_shard(&key).get(&key) {
+        if let Some(cached) = memo.get(&key, &self.metrics) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             if self.metrics.active() {
                 self.metrics.hits.inc();
             }
-            return cached.clone();
-        }
-        let (result, cacheable) = self.analyze_miss(variant, cancel);
-        if !cacheable {
-            // Contained panics, injected faults and cancelled solves
-            // never enter the memo cache: a retry of this variant must
-            // behave exactly like a fresh evaluation.
-            return result;
-        }
-        let mut shard = self.lock_shard(&key);
-        self.evict_if_full(&mut shard, &key);
-        // Racing threads may both compute; the first insert wins so all
-        // callers share one Arc.
-        shard.entry(key).or_insert(result).clone()
-    }
-
-    /// Miss bookkeeping around one contained analysis: the miss
-    /// counters, and the per-evaluation wall-time histogram while
-    /// metrics are active.
-    fn analyze_miss(
-        &self,
-        variant: &SystemVariant,
-        cancel: Option<&CancelToken>,
-    ) -> (EvalResult, bool) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let timed = self.metrics.active();
-        if timed {
-            self.metrics.misses.inc();
-        }
-        let start = timed.then(Instant::now);
-        let outcome = self.analyze_contained(variant, cancel);
-        if let Some(start) = start {
-            self.metrics.eval_wall_ns.record(elapsed_ns(start));
-        }
-        outcome
-    }
-
-    /// Applies the whole-shard eviction policy before an insert of
-    /// `key` (see [`EvaluatorBuilder::cache_capacity`]).
-    fn evict_if_full(&self, shard: &mut HashMap<VariantKey, EvalResult>, key: &VariantKey) {
-        if let Some(capacity) = self.shard_capacity {
-            if shard.len() >= capacity && !shard.contains_key(key) {
-                let evicted = shard.len() as u64;
-                shard.clear();
-                if self.metrics.active() {
-                    self.metrics.evictions.add(evicted);
-                }
-            }
-        }
-    }
-
-    /// Probabilistic evaluation core (see [`Evaluator::evaluate_prob`]
-    /// for the contract). A tripped `cancel` returns — and never caches
-    /// — [`AnalysisError::Cancelled`].
-    fn evaluate_prob(
-        &self,
-        variant: &SystemVariant,
-        cancel: Option<&CancelToken>,
-    ) -> ProbEvalResult {
-        if cancel.is_some_and(|token| token.is_cancelled()) {
-            return Err(AnalysisError::Cancelled);
-        }
-        let key = variant.key();
-        {
-            let map = self.prob.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(cached) = map.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if self.metrics.active() {
-                    self.metrics.hits.inc();
-                }
-                return cached.clone();
-            }
+            return cached;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         if self.metrics.active() {
             self.metrics.misses.inc();
         }
-        let result = self.compute_prob(variant, cancel);
-        if matches!(result, Err(AnalysisError::Cancelled)) {
-            // Transient by construction — never memoized.
+        let (result, cacheable) = compute();
+        if !cacheable {
             return result;
         }
-        let mut map = self.prob.lock().unwrap_or_else(PoisonError::into_inner);
-        map.entry(key).or_insert(result).clone()
+        memo.insert(key, result, &self.metrics)
+    }
+
+    /// Deterministic evaluation core; `cancel` (when present) is polled
+    /// at entry and through the solve loop. Contained panics, injected
+    /// faults and cancelled solves never enter the memo: a retry of the
+    /// variant behaves exactly like a fresh evaluation.
+    fn evaluate(&self, variant: &SystemVariant, cancel: Option<&CancelToken>) -> EvalResult {
+        self.memoized(&self.reports, variant, cancel, || {
+            let start = self.metrics.active().then(Instant::now);
+            let outcome = self.analyze_contained(variant, cancel);
+            if let Some(start) = start {
+                self.metrics.eval_wall_ns.record(elapsed_ns(start));
+            }
+            outcome
+        })
+    }
+
+    /// Probabilistic evaluation core (see [`Evaluator::evaluate_prob`]
+    /// for the contract).
+    fn evaluate_prob(
+        &self,
+        variant: &SystemVariant,
+        cancel: Option<&CancelToken>,
+    ) -> ProbEvalResult {
+        self.memoized(&self.probs, variant, cancel, || {
+            let result = self.compute_prob(variant, cancel);
+            let cacheable = result.is_ok();
+            (result, cacheable)
+        })
     }
 
     /// One uncached probabilistic analysis (see
@@ -861,20 +848,7 @@ impl EvalShared {
             .collect()
     }
 
-    /// Evaluates one chunk with the contention-free cache protocol:
-    ///
-    /// 1. **Batched read pass** — the chunk's keys are bucketed by
-    ///    shard, then each touched shard is locked exactly once to pull
-    ///    every hit, instead of once per point.
-    /// 2. **Lock-free analysis** — every miss is analysed into a
-    ///    chunk-local buffer. Duplicate keys within the chunk are
-    ///    deduplicated here (the second occurrence counts as a hit and
-    ///    shares the first's result) without touching any lock.
-    /// 3. **Publish pass** — the buffered results are written back with
-    ///    one lock acquisition per touched shard. First insert wins, and
-    ///    every output row is rewritten with the canonical `Arc` from
-    ///    the cache so concurrent chunks that computed the same key
-    ///    still hand out one shared allocation.
+    /// Evaluates one chunk point by point through the memo path.
     ///
     /// Warm-start state and reordered tables are dropped on entry,
     /// making the chunk's results and solve statistics independent of
@@ -899,85 +873,8 @@ impl EvalShared {
         if self.metrics.active() {
             self.metrics.batch_chunks.inc();
         }
-        let keys: Vec<VariantKey> = variants.iter().map(SystemVariant::key).collect();
-        let shard_of: Vec<usize> = keys.iter().map(|k| self.shard_index(k)).collect();
-
-        // Read pass: one lock per touched shard.
-        let mut read_buckets: [Vec<usize>; SHARDS] = std::array::from_fn(|_| Vec::new());
-        for (i, &s) in shard_of.iter().enumerate() {
-            read_buckets[s].push(i);
-        }
-        let mut hits = 0u64;
-        for (s, bucket) in read_buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let shard = self.lock_shard_at(s, true);
-            for &i in bucket {
-                if let Some(cached) = shard.get(&keys[i]) {
-                    out[i] = Some(cached.clone());
-                    hits += 1;
-                }
-            }
-        }
-
-        // Analysis pass: no locks. Fresh results buffer locally; a key
-        // repeated within the chunk is analysed once and its later
-        // occurrences count as cache hits on the buffered entry.
-        let mut fresh: HashMap<VariantKey, (EvalResult, Vec<usize>)> = HashMap::new();
-        for i in 0..variants.len() {
-            if out[i].is_some() {
-                continue;
-            }
-            if let Some((result, users)) = fresh.get_mut(&keys[i]) {
-                out[i] = Some(result.clone());
-                users.push(i);
-                hits += 1;
-                continue;
-            }
-            let (result, cacheable) = self.analyze_miss(&variants[i], cancel);
-            if cacheable {
-                out[i] = Some(result.clone());
-                fresh.insert(keys[i].clone(), (result, vec![i]));
-            } else {
-                out[i] = Some(result);
-            }
-        }
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        if self.metrics.active() {
-            self.metrics.hits.add(hits);
-        }
-
-        // Publish pass: one lock per touched shard, canonical Arcs
-        // rewritten into every user row.
-        if fresh.is_empty() {
-            return;
-        }
-        let mut publish: [Vec<(VariantKey, EvalResult, Vec<usize>)>; SHARDS] =
-            std::array::from_fn(|_| Vec::new());
-        for (key, (result, users)) in fresh.drain() {
-            let s = self.shard_index(&key);
-            publish[s].push((key, result, users));
-        }
-        for (s, mut bucket) in publish.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            // HashMap drain order is nondeterministic; under a bounded
-            // cache the insert order decides which entries survive an
-            // eviction, so pin it to batch order.
-            bucket.sort_by_key(|(_, _, users)| users[0]);
-            let mut shard = self.lock_shard_at(s, true);
-            if self.metrics.active() {
-                self.metrics.batch_publish_flushes.inc();
-            }
-            for (key, result, users) in bucket {
-                self.evict_if_full(&mut shard, &key);
-                let canonical = shard.entry(key).or_insert(result).clone();
-                for i in users {
-                    out[i] = Some(canonical.clone());
-                }
-            }
+        for (row, variant) in out.iter_mut().zip(variants) {
+            *row = Some(self.evaluate(variant, cancel));
         }
     }
 
@@ -1647,7 +1544,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_protocol_dedups_repeats_and_shares_arcs() {
+    fn batch_repeats_are_hits_and_share_arcs() {
         let base = BaseSystem::new(net(6));
         // 8 distinct keys, each repeated 16 times within one batch.
         let variants: Vec<SystemVariant> = (0..128)
@@ -1660,10 +1557,7 @@ mod tests {
         let out = eval.evaluate_batch(&variants);
         let stats = eval.stats();
         assert_eq!(stats.misses, 8, "the first chunk analyses each key once");
-        assert_eq!(
-            stats.hits, 120,
-            "repeats are hits — chunk-local dedup or the read pass"
-        );
+        assert_eq!(stats.hits, 120, "every repeat is a memo hit");
         for (i, r) in out.iter().enumerate() {
             let r = r.as_ref().expect("valid");
             let canonical = out[i % 8].as_ref().expect("valid");
@@ -1678,10 +1572,11 @@ mod tests {
     fn builder_configures_jobs_and_capacity() {
         let eval = Evaluator::builder().jobs(3).cache_capacity(64).build();
         assert_eq!(eval.parallelism().jobs(), 3);
-        assert_eq!(eval.shared.shard_capacity, Some(4));
+        assert_eq!(eval.shared.reports.shard_capacity, Some(4));
+        assert_eq!(eval.shared.probs.shard_capacity, Some(4));
         // A tiny capacity still keeps one entry per shard.
         let tiny = Evaluator::builder().cache_capacity(1).build();
-        assert_eq!(tiny.shared.shard_capacity, Some(1));
+        assert_eq!(tiny.shared.reports.shard_capacity, Some(1));
     }
 
     #[test]
@@ -1740,17 +1635,55 @@ mod tests {
             .histogram("engine.batch.worker_points")
             .expect("present");
         assert_eq!((worker_points.count, worker_points.sum), (2, 20));
-        // Only the first batch has fresh results to publish; the warm
-        // batch is answered entirely by the read pass.
-        let flushes = snap
-            .counter("engine.batch.publish_flushes")
-            .expect("present");
-        assert!(
-            (1..=5).contains(&flushes),
-            "5 keys over 16 shards: {flushes}"
-        );
         let wall = snap.histogram("engine.eval.wall_ns").expect("present");
         assert_eq!(wall.count, stats.misses);
         assert!(wall.sum > 0);
+    }
+
+    #[test]
+    fn injected_panic_never_enters_the_prob_memo() {
+        let base = BaseSystem::new(net(6));
+        let v = SystemVariant::new(base, Scenario::sporadic_errors(Time::from_ms(10)))
+            .with_jitter_ratio(0.1);
+        let clean = Evaluator::new(Parallelism::sequential())
+            .evaluate_prob(&v)
+            .expect("valid");
+        let faulty = Evaluator::builder()
+            .parallelism(Parallelism::sequential())
+            .faults(FaultPlan {
+                panic_at: Some(0),
+                ..FaultPlan::default()
+            })
+            .build();
+        assert!(matches!(
+            faulty.evaluate_prob(&v),
+            Err(AnalysisError::Panicked { .. })
+        ));
+        // The contained panic was not memoized: the retry is a real
+        // analysis, identical to a clean evaluator's.
+        let retried = faulty.evaluate_prob(&v).expect("retry is a real analysis");
+        assert_eq!(*retried, *clean);
+    }
+
+    #[test]
+    fn prob_memo_obeys_cache_capacity() {
+        let base = BaseSystem::new(net(6));
+        let eval = Evaluator::builder()
+            .jobs(1)
+            .cache_capacity(SHARDS) // one entry per shard
+            .build();
+        for k in 0..40 {
+            let v = SystemVariant::new(base.clone(), Scenario::worst_case())
+                .with_jitter_ratio(k as f64 * 0.01);
+            eval.evaluate_prob(&v).expect("valid");
+        }
+        let entries: usize = eval
+            .shared
+            .probs
+            .shards
+            .iter()
+            .map(|shard| shard.lock().expect("unpoisoned").len())
+            .sum();
+        assert!(entries <= SHARDS, "{entries} prob entries");
     }
 }

@@ -7,11 +7,10 @@ use std::str::FromStr;
 /// All server tuning knobs with their defaults.
 ///
 /// [`ServerConfig::from_env`] reads each field from the
-/// `CARTA_SERVER_*` variable named in its doc comment; unset or
-/// unparsable tuning variables fall back to the default (the effective
-/// config is what `/v1/metrics` consumers observe, not what the
-/// environment claims). The auth map is the exception: a malformed
-/// `CARTA_SERVER_TOKENS` refuses to boot rather than disable auth.
+/// `CARTA_SERVER_*` variable named in its doc comment. An unset
+/// variable keeps the default; a set but malformed one — an
+/// unparsable number or a bad `CARTA_SERVER_TOKENS` entry — refuses to
+/// boot rather than run with a configuration nobody asked for.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address (`CARTA_SERVER_ADDR`). Use port `0` to let the
@@ -24,8 +23,9 @@ pub struct ServerConfig {
     /// default is sequential; raise it on dedicated hardware.
     pub jobs: usize,
     /// Per-tenant evaluator memo-cache quota in entries
-    /// (`CARTA_SERVER_CACHE_QUOTA`). The engine's LRU keyed by base
-    /// fingerprint evicts within a tenant once the quota is hit.
+    /// (`CARTA_SERVER_CACHE_QUOTA`), applied to deterministic and
+    /// probabilistic reports alike. The engine's memo clears whole
+    /// shards within a tenant once a shard's share of the quota is hit.
     pub cache_quota: usize,
     /// Resident tenant limit (`CARTA_SERVER_MAX_TENANTS`). The
     /// least-recently-used tenant — evaluator cache, sessions and all —
@@ -101,14 +101,16 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// The defaults overridden by whatever `CARTA_SERVER_*` variables
-    /// are set (and parsable) in the environment.
+    /// are set in the environment.
     ///
     /// # Panics
     ///
-    /// Panics — so the server refuses to boot — when
-    /// `CARTA_SERVER_TOKENS` is set but holds an entry without a `=` or
-    /// with an empty token or tenant. Skipping the entry instead could
-    /// leave the map empty, which would silently disable auth.
+    /// Panics — so the server refuses to boot — when a numeric knob is
+    /// set to a value its type cannot parse (the message names the
+    /// variable and the value), or when `CARTA_SERVER_TOKENS` is set but
+    /// holds an entry without a `=` or with an empty token or tenant.
+    /// Skipping a bad token entry instead could leave the map empty,
+    /// which would silently disable auth.
     pub fn from_env() -> Self {
         let d = ServerConfig::default();
         ServerConfig {
@@ -170,11 +172,24 @@ fn parse_tokens(raw: &str) -> Result<Vec<(String, String)>, String> {
         .collect()
 }
 
-fn env_parse<T: FromStr + Copy>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The value of numeric knob `key`, or `default` when it is unset.
+/// A set but unparsable value panics with [`parse_knob`]'s message.
+fn env_parse<T: FromStr>(key: &str, default: T) -> T {
+    match std::env::var_os(key) {
+        None => default,
+        Some(raw) => parse_knob(key, &raw.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")),
+    }
+}
+
+/// Parses `raw` (surrounding whitespace ignored), failing closed with
+/// an error that names the variable and the value.
+fn parse_knob<T: FromStr>(key: &str, raw: &str) -> Result<T, String> {
+    raw.trim().parse().map_err(|_| {
+        format!(
+            "{key}={raw:?} is not a valid {}; refusing to boot",
+            std::any::type_name::<T>()
+        )
+    })
 }
 
 #[cfg(test)]
@@ -191,6 +206,24 @@ mod tests {
         assert!(c.keepalive_max >= 1);
         assert!(c.state_dir.is_none());
         assert!(!c.auth_enabled());
+    }
+
+    #[test]
+    fn numeric_knobs_parse_or_fail_closed_by_name() {
+        assert_eq!(parse_knob::<usize>("CARTA_SERVER_WORKERS", " 4 "), Ok(4));
+        assert_eq!(parse_knob::<u64>("CARTA_SERVER_DRAIN_MS", "0"), Ok(0));
+        assert_eq!(
+            parse_knob::<u32>("CARTA_SERVER_BUDGET", "1000000000"),
+            Ok(1_000_000_000)
+        );
+        let err = parse_knob::<usize>("CARTA_SERVER_WORKERS", "four").expect_err("usize");
+        assert!(err.contains("CARTA_SERVER_WORKERS=\"four\""), "{err}");
+        let err = parse_knob::<u64>("CARTA_SERVER_IDLE_MS", "-5").expect_err("u64");
+        assert!(err.contains("CARTA_SERVER_IDLE_MS=\"-5\""), "{err}");
+        let err = parse_knob::<u32>("CARTA_SERVER_BUDGET", "4294967296").expect_err("u32");
+        assert!(err.contains("CARTA_SERVER_BUDGET=\"4294967296\""), "{err}");
+        let err = parse_knob::<u32>("CARTA_SERVER_KEEPALIVE_MAX", "").expect_err("empty");
+        assert!(err.contains("refusing to boot"), "{err}");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! tenant is under pressure.
 //!
 //! One tenant = one [`Handler`] whose [`Evaluator`] carries a bounded
-//! memo cache (`cache_quota` entries, evicted LRU inside the engine,
-//! keyed by the base-system fingerprint). Tenants themselves are also
+//! memo cache (`cache_quota` entries each for deterministic and
+//! probabilistic reports; a shard that outgrows its share is cleared
+//! whole inside the engine). Tenants themselves are also
 //! an LRU set: beyond `max_tenants` the least-recently-used tenant is
 //! dropped wholesale — evaluator cache, sessions, window — which is
 //! exactly the "per-tenant cache eviction" the

@@ -1,16 +1,18 @@
-//! A malformed `CARTA_SERVER_TOKENS` must stop the real binary from
-//! booting: skipping the bad entry could leave the token map empty,
-//! which would serve every tenant without auth.
+//! Malformed configuration must stop the real binary from booting: a
+//! skipped `CARTA_SERVER_TOKENS` entry could leave the token map empty,
+//! which would serve every tenant without auth, and a silently ignored
+//! numeric knob would run a configuration nobody asked for.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-#[test]
-fn malformed_token_map_refuses_to_boot() {
+/// Boots `carta-server` with `key=value` and returns its stderr after
+/// asserting it exited non-zero without ever listening.
+fn refused_boot(key: &str, value: &str) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_carta-server"))
         .env("CARTA_SERVER_ADDR", "127.0.0.1:0")
-        .env("CARTA_SERVER_TOKENS", "tok:oem")
+        .env(key, value)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -25,7 +27,7 @@ fn malformed_token_map_refuses_to_boot() {
         if Instant::now() > deadline {
             let _ = child.kill();
             let _ = child.wait();
-            panic!("carta-server booted with a malformed token map");
+            panic!("carta-server booted with {key}={value:?}");
         }
         std::thread::sleep(Duration::from_millis(20));
     };
@@ -37,6 +39,18 @@ fn malformed_token_map_refuses_to_boot() {
         .read_to_string(&mut stderr)
         .expect("readable stderr");
     assert!(!status.success(), "{stderr}");
-    assert!(stderr.contains("\"tok:oem\""), "{stderr}");
     assert!(!stderr.contains("listening on"), "{stderr}");
+    stderr
+}
+
+#[test]
+fn malformed_token_map_refuses_to_boot() {
+    let stderr = refused_boot("CARTA_SERVER_TOKENS", "tok:oem");
+    assert!(stderr.contains("\"tok:oem\""), "{stderr}");
+}
+
+#[test]
+fn unparsable_worker_count_refuses_to_boot() {
+    let stderr = refused_boot("CARTA_SERVER_WORKERS", "four");
+    assert!(stderr.contains("CARTA_SERVER_WORKERS=\"four\""), "{stderr}");
 }

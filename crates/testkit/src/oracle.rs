@@ -13,6 +13,7 @@ use crate::repro::Repro;
 use carta_can::controller::ControllerType;
 use carta_can::frame::{Dlc, StuffingMode};
 use carta_can::network::CanNetwork;
+use carta_can::rta::BusReport;
 use carta_core::event_model::EventModel;
 use carta_core::time::Time;
 use carta_engine::prelude::{
@@ -124,7 +125,29 @@ impl DiffOracle {
                 ));
             }
         }
+        self.check_report(net, &report, errors, seed)
+    }
 
+    /// The simulation half of [`DiffOracle::check`]: `report` — the
+    /// worst-case analysis of `net` under `errors` — must dominate a
+    /// seeded simulation of the same system. Taking the report as input
+    /// lets a sensitivity test hand the oracle a deliberately broken
+    /// analysis without touching production code.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`Violation`] found.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `report` names a message `net` does not carry.
+    pub fn check_report(
+        &self,
+        net: &CanNetwork,
+        report: &BusReport,
+        errors: ErrorSpec,
+        seed: u64,
+    ) -> Result<(), Violation> {
         let sim_config = SimConfig {
             horizon: self.sim_horizon,
             seed,

@@ -6,7 +6,7 @@
 //!   order exactly when brute-force enumeration finds one (small nets).
 //!
 //! Networks come from `carta_testkit::gen` (the `two_node` and `tight`
-//! shapes); the full metamorphic law catalogue lives in
+//! shapes, the latter also with mixed controllers); the full metamorphic law catalogue lives in
 //! `carta_testkit::laws` and is fuzzed by `carta fuzz` — this suite
 //! keeps the historical direct checks plus the brute-force OPA cross
 //! validation that is too expensive for the fuzz loop.
@@ -159,34 +159,43 @@ fn brute_force_feasible(net: &CanNetwork, errors: &dyn ErrorModel) -> bool {
 fn opa_agrees_with_brute_force_on_small_nets() {
     let errors = SporadicErrors::new(Time::from_ms(15));
     let cfg = AnalysisConfig::default();
-    let mut feasible_seen = 0;
-    let mut infeasible_seen = 0;
-    for seed in 0..40u64 {
-        // Small, tight nets on a slow bus so both verdicts occur.
-        let net = random_network(&NetShape::tight(), seed);
-        let opa = audsley_assignment(&net, &errors, &cfg).expect("valid network");
-        let brute = brute_force_feasible(&net, &errors);
-        assert_eq!(
-            opa.is_some(),
-            brute,
-            "seed {seed}: OPA {:?} vs brute force {brute}",
-            opa.is_some()
-        );
-        if let Some(order) = opa {
-            feasible_seen += 1;
-            let fixed = order.apply(&net);
-            assert!(analyze_bus(&fixed, &errors, &cfg)
-                .expect("valid")
-                .schedulable());
-        } else {
-            infeasible_seen += 1;
+    // Small, tight nets on a slow bus so both verdicts occur: fullCAN
+    // only, then two nodes of mixed controllers so the basicCAN/FIFO
+    // demand terms are exercised through OPA too.
+    let mixed = NetShape {
+        mixed_controllers: true,
+        node_range: (2, 2),
+        ..NetShape::tight()
+    };
+    for (shape, seeds) in [(NetShape::tight(), 40u64), (mixed, 60)] {
+        let mut feasible_seen = 0;
+        let mut infeasible_seen = 0;
+        for seed in 0..seeds {
+            let net = random_network(&shape, seed);
+            let opa = audsley_assignment(&net, &errors, &cfg).expect("valid network");
+            let brute = brute_force_feasible(&net, &errors);
+            assert_eq!(
+                opa.is_some(),
+                brute,
+                "seed {seed}: OPA {:?} vs brute force {brute} ({shape:?})",
+                opa.is_some()
+            );
+            if let Some(order) = opa {
+                feasible_seen += 1;
+                let fixed = order.apply(&net);
+                assert!(analyze_bus(&fixed, &errors, &cfg)
+                    .expect("valid")
+                    .schedulable());
+            } else {
+                infeasible_seen += 1;
+            }
         }
+        // The seed range must exercise both outcomes for the test to
+        // mean anything.
+        assert!(feasible_seen > 3, "only {feasible_seen} feasible cases");
+        assert!(
+            infeasible_seen > 3,
+            "only {infeasible_seen} infeasible cases"
+        );
     }
-    // The seed range must exercise both outcomes for the test to mean
-    // anything.
-    assert!(feasible_seen > 3, "only {feasible_seen} feasible cases");
-    assert!(
-        infeasible_seen > 3,
-        "only {infeasible_seen} infeasible cases"
-    );
 }
