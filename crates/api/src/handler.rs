@@ -4,7 +4,9 @@
 //! [`Handler`] and call [`Handler::handle`]; neither contains any
 //! analysis logic of its own. The handler owns (or borrows, in the
 //! server's per-tenant pools) one [`Evaluator`] whose memo cache is
-//! shared across requests.
+//! shared across requests. It reports through that evaluator's
+//! [`carta_obs::Obs`]: request phases time into `phase.*`, and the
+//! `optimize` and `fuzz` runs hand it to the evaluators they build.
 
 use crate::error::ApiError;
 use crate::request::{Model, ModelSource, Request};
@@ -24,7 +26,6 @@ use carta_explore::sweeps::Sweeps;
 use carta_kmatrix::csv::{from_csv, to_csv};
 use carta_kmatrix::generator::{powertrain_kmatrix, CaseStudyConfig};
 use carta_kmatrix::model::KMatrix;
-use carta_obs::metrics::PhaseGuard;
 use std::sync::Arc;
 
 /// Materializes a model's K-Matrix (without network conversion).
@@ -171,13 +172,13 @@ impl Handler {
                 laws,
                 backend,
             } => self.fuzz(*cases, *seed, laws.as_deref(), *backend),
-            Request::FuzzReplay { repro_json } => Self::fuzz_replay(repro_json),
+            Request::FuzzReplay { repro_json } => self.fuzz_replay(repro_json),
         }
     }
 
     fn load(&self, model: &Model) -> Result<Response, ApiError> {
         let net = {
-            let _phase = PhaseGuard::new("load");
+            let _phase = self.evaluator.obs().phase("load");
             load_network(model)?
         };
         let worst = net.load(StuffingMode::WorstCase);
@@ -197,12 +198,12 @@ impl Handler {
         scenario: crate::request::ScenarioSpec,
     ) -> Result<Response, ApiError> {
         let net = {
-            let _phase = PhaseGuard::new("load");
+            let _phase = self.evaluator.obs().phase("load");
             load_network(model)?
         };
         let scenario = scenario.to_scenario();
         let report = {
-            let _phase = PhaseGuard::new("analyze");
+            let _phase = self.evaluator.obs().phase("analyze");
             self.evaluator
                 .evaluate(&SystemVariant::new(BaseSystem::new(net), scenario.clone()))?
         };
@@ -218,13 +219,13 @@ impl Handler {
         scenario: crate::request::ScenarioSpec,
     ) -> Result<Response, ApiError> {
         let net = {
-            let _phase = PhaseGuard::new("load");
+            let _phase = self.evaluator.obs().phase("load");
             load_network(model)?
         };
         let scenario = scenario.to_scenario();
         let grid = paper_jitter_grid();
         let curve = {
-            let _phase = PhaseGuard::new("analyze");
+            let _phase = self.evaluator.obs().phase("analyze");
             self.evaluator.loss_vs_jitter(&net, &scenario, &grid)?
         };
         Ok(Response::Loss(curve))
@@ -236,12 +237,12 @@ impl Handler {
         scenario: crate::request::ScenarioSpec,
     ) -> Result<Response, ApiError> {
         let net = {
-            let _phase = PhaseGuard::new("load");
+            let _phase = self.evaluator.obs().phase("load");
             load_network(model)?
         };
         let scenario = scenario.to_scenario();
         let report = {
-            let _phase = PhaseGuard::new("analyze");
+            let _phase = self.evaluator.obs().phase("analyze");
             self.evaluator
                 .evaluate_prob(&SystemVariant::new(BaseSystem::new(net), scenario.clone()))?
         };
@@ -257,13 +258,13 @@ impl Handler {
         scenario: crate::request::ScenarioSpec,
     ) -> Result<Response, ApiError> {
         let net = {
-            let _phase = PhaseGuard::new("load");
+            let _phase = self.evaluator.obs().phase("load");
             load_network(model)?
         };
         let scenario = scenario.to_scenario();
         let grid = paper_jitter_grid();
         let curve = {
-            let _phase = PhaseGuard::new("analyze");
+            let _phase = self.evaluator.obs().phase("analyze");
             self.evaluator.prob_loss_vs_jitter(&net, &scenario, &grid)?
         };
         Ok(Response::ProbLoss(curve))
@@ -276,14 +277,14 @@ impl Handler {
         message: Option<&str>,
     ) -> Result<Response, ApiError> {
         let net = {
-            let _phase = PhaseGuard::new("load");
+            let _phase = self.evaluator.obs().phase("load");
             load_network(model)?
         };
         let scenario = scenario.to_scenario();
         let grid = paper_jitter_grid();
         let only = message.map(|m| vec![m]);
         let series = {
-            let _phase = PhaseGuard::new("analyze");
+            let _phase = self.evaluator.obs().phase("analyze");
             self.evaluator
                 .response_vs_jitter(&net, &scenario, &grid, only.as_deref())?
         };
@@ -296,7 +297,7 @@ impl Handler {
         scenario: crate::request::ScenarioSpec,
     ) -> Result<Response, ApiError> {
         let net = {
-            let _phase = PhaseGuard::new("load");
+            let _phase = self.evaluator.obs().phase("load");
             load_network(model)?
         };
         let scenario = scenario.to_scenario();
@@ -331,7 +332,7 @@ impl Handler {
         // Jitter options are deliberately not applied here — the CLI's
         // `optimize` has always run on the as-modeled matrix.
         let (matrix, net) = {
-            let _phase = PhaseGuard::new("load");
+            let _phase = self.evaluator.obs().phase("load");
             let matrix = load_matrix(&model.source)?;
             let mut net = matrix
                 .to_network()
@@ -347,10 +348,11 @@ impl Handler {
                 ..Spea2Config::default()
             },
             parallelism: self.parallelism,
+            obs: self.evaluator.obs().clone(),
             ..OptimizeIdsConfig::default()
         };
         let result = {
-            let _phase = PhaseGuard::new("analyze");
+            let _phase = self.evaluator.obs().phase("analyze");
             optimize_can_ids(&net, &config)
         };
         if emit_csv {
@@ -391,7 +393,7 @@ impl Handler {
         use carta_sim::gantt::{render, GanttConfig};
         use carta_sim::inject::{NoInjection, PeriodicInjection};
         let net = {
-            let _phase = PhaseGuard::new("load");
+            let _phase = self.evaluator.obs().phase("load");
             load_network(model)?
         };
         let config = SimConfig {
@@ -440,12 +442,12 @@ impl Handler {
         rates: &[u64],
     ) -> Result<Response, ApiError> {
         let net = {
-            let _phase = PhaseGuard::new("load");
+            let _phase = self.evaluator.obs().phase("load");
             load_network(model)?
         };
         let scenario = scenario.to_scenario();
         let options = {
-            let _phase = PhaseGuard::new("analyze");
+            let _phase = self.evaluator.obs().phase("analyze");
             self.evaluator
                 .compare_bit_rates(&net, &scenario, rates, &EcuTemplate::default())?
         };
@@ -491,18 +493,19 @@ impl Handler {
             laws: laws.map(<[String]>::to_vec),
             parallelism: self.parallelism,
             backend,
+            obs: self.evaluator.obs().clone(),
         };
         let report = {
-            let _phase = PhaseGuard::new("fuzz");
+            let _phase = self.evaluator.obs().phase("fuzz");
             run_fuzz(&config).map_err(|e| ApiError::request(e.to_string()))?
         };
         Ok(Response::Fuzz(FuzzSummary { report, cases }))
     }
 
-    fn fuzz_replay(repro_json: &str) -> Result<Response, ApiError> {
+    fn fuzz_replay(&self, repro_json: &str) -> Result<Response, ApiError> {
         use carta_testkit::prelude::{ReplayError, Repro};
         let repro = Repro::from_json(repro_json).map_err(|e| ApiError::request(e.to_string()))?;
-        let _phase = PhaseGuard::new("fuzz");
+        let _phase = self.evaluator.obs().phase("fuzz");
         match repro.replay() {
             Ok(()) => Ok(Response::FuzzReplay(FuzzReplay {
                 law: repro.law,

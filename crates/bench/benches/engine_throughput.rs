@@ -3,9 +3,9 @@
 //! cold and a warm memo cache, and the cost of metrics collection on
 //! the warm path. The warm path is the one every repeat caller (sweeps
 //! re-visiting a grid, the GA re-visiting genomes) hits. `warm_64pts`
-//! runs with instrumentation compiled in but disabled — the default,
-//! where the <2% overhead budget applies (one relaxed atomic load per
-//! point) — while `warm_64pts_metrics` prices fully-enabled recording.
+//! runs an evaluator without an observer — the default, where the <2%
+//! overhead budget applies (one `Option` check per instrumented site)
+//! — while `warm_64pts_metrics` prices recording into a registry.
 //!
 //! The `rta_*` variants isolate the compiled RTA kernel itself
 //! (BENCH_rta.json): `rta_cold_compiled_64pts` prices the solve phase
@@ -67,9 +67,9 @@ fn bench_engine_throughput(c: &mut Criterion) {
         b.iter(|| black_box(warm.evaluate_batch(&points)))
     });
 
-    // Same warm batch with every counter live (explicit registry makes
-    // recording unconditional) — the delta to `warm_64pts` is the cost
-    // of *enabled* recording, paid only when someone asks for metrics.
+    // Same warm batch with every counter live (a bound registry) — the
+    // delta to `warm_64pts` is the cost of recording, paid only when
+    // someone asks for metrics.
     let registry = Arc::new(MetricsRegistry::new());
     let instrumented = Evaluator::builder().metrics(&registry).build();
     let bare = instrumented.evaluate_batch(&points);

@@ -81,31 +81,8 @@ use carta_core::analysis::{AnalysisError, DivergenceCause, MessageDiagnostic, Re
 use carta_core::cancel::CancelToken;
 use carta_core::event_model::EventModel;
 use carta_core::time::Time;
-use carta_obs::metrics::{self, Counter, Histogram};
-use carta_obs::{event, span};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-/// Pre-resolved global-registry handles for the compiled kernel.
-/// Recording happens only while [`metrics::enabled`].
-struct CompiledMetrics {
-    compile_ns: Arc<Histogram>,
-    warm_starts: Arc<Counter>,
-    iters_saved: Arc<Counter>,
-}
-
-fn compiled_metrics() -> &'static CompiledMetrics {
-    static HANDLES: OnceLock<CompiledMetrics> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let registry = metrics::global();
-        CompiledMetrics {
-            compile_ns: registry.histogram("rta.compile_ns"),
-            warm_starts: registry.counter("rta.warm_starts"),
-            iters_saved: registry.counter("rta.fixpoint_iters_saved"),
-        }
-    })
-}
+use std::sync::Arc;
 
 /// Monotonically increasing compile identity. Two [`CompiledBus`]
 /// values never share an epoch, so a workspace's warm state can be tied
@@ -320,20 +297,13 @@ impl CompiledBus {
     pub fn compile(net: &CanNetwork, stuffing: StuffingMode) -> Result<Self, AnalysisError> {
         net.validate()
             .map_err(|e| AnalysisError::InvalidModel(e.to_string()))?;
-        let start = metrics::enabled().then(Instant::now);
         let names = net
             .messages()
             .iter()
             .map(|m| Arc::from(m.name.as_str()))
             .collect();
         let ids: Vec<CanId> = net.messages().iter().map(|m| m.id).collect();
-        let compiled = Self::tables(net, &ids, stuffing, names);
-        if let Some(start) = start {
-            compiled_metrics()
-                .compile_ns
-                .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        Ok(compiled)
+        Ok(Self::tables(net, &ids, stuffing, names))
     }
 
     /// Recompiles the tables of `net` with message `i` carrying
@@ -474,20 +444,8 @@ impl CompiledBus {
     }
 
     /// Lifts an abandoned fixpoint into a degraded-mode diagnostic
-    /// with interned names, recording the `rta.diverged` metric and a
-    /// structured trace event.
-    fn diagnose(&self, i: usize, abort: BusyAbort, recording: bool) -> MessageDiagnostic {
-        if recording {
-            crate::rta::rta_metrics().diverged.inc();
-        }
-        event!(
-            "rta.diverged",
-            msg = self.names[i],
-            level = self.hp[i].len(),
-            w = abort.w,
-            q = abort.q,
-            cause = abort.cause,
-        );
+    /// with interned names.
+    fn diagnose(&self, i: usize, abort: BusyAbort) -> MessageDiagnostic {
         MessageDiagnostic {
             entity: self.names[i].clone(),
             priority_level: self.hp[i].len(),
@@ -652,7 +610,6 @@ impl CompiledBus {
             config.stuffing, self.stuffing,
             "config stuffing must match the compiled tables"
         );
-        let _span = span!("rta.bus", msgs = n);
 
         ws.resize(n);
         let warm_base = ws.epoch == self.epoch
@@ -666,7 +623,6 @@ impl CompiledBus {
             }
         }
 
-        let recording = metrics::enabled();
         let mut stats = SolveStats::default();
         let mut reports = Vec::with_capacity(n);
         for (i, &deadline) in deadlines.iter().enumerate() {
@@ -719,14 +675,8 @@ impl CompiledBus {
                     )),
                     q,
                 ),
-                Err(abort) => (
-                    ResponseOutcome::Overload(self.diagnose(i, abort, recording)),
-                    0,
-                ),
+                Err(abort) => (ResponseOutcome::Overload(self.diagnose(i, abort)), 0),
             };
-            if recording {
-                crate::rta::rta_metrics().busy_instances.record(instances);
-            }
             reports.push(MessageReport {
                 index: i,
                 name: self.names[i].clone(),
@@ -748,16 +698,6 @@ impl CompiledBus {
         ws.activations.clear();
         ws.activations.extend_from_slice(acts);
         ws.last = stats;
-
-        if recording {
-            let handles = crate::rta::rta_metrics();
-            handles.runs.inc();
-            handles.messages.add(n as u64);
-            handles.iterations.add(stats.iterations);
-            let compiled_handles = compiled_metrics();
-            compiled_handles.warm_starts.add(stats.warm_messages);
-            compiled_handles.iters_saved.add(stats.iters_saved);
-        }
         Ok(BusReport {
             messages: reports,
             error_model: desc.to_string(),

@@ -26,33 +26,7 @@ use crate::message::CanId;
 use crate::network::CanNetwork;
 use carta_core::analysis::{AnalysisError, MessageDiagnostic, ResponseBounds};
 use carta_core::time::Time;
-use carta_obs::metrics::{self, Counter, Histogram};
-use std::sync::{Arc, OnceLock};
-
-/// Pre-resolved global-registry handles for the RTA hot path. Resolved
-/// once; recording happens only while [`metrics::enabled`], so the
-/// disabled cost per `analyze_bus` run is one relaxed atomic load.
-pub(crate) struct RtaMetrics {
-    pub(crate) runs: Arc<Counter>,
-    pub(crate) messages: Arc<Counter>,
-    pub(crate) iterations: Arc<Counter>,
-    pub(crate) busy_instances: Arc<Histogram>,
-    pub(crate) diverged: Arc<Counter>,
-}
-
-pub(crate) fn rta_metrics() -> &'static RtaMetrics {
-    static HANDLES: OnceLock<RtaMetrics> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let registry = metrics::global();
-        RtaMetrics {
-            runs: registry.counter("rta.runs"),
-            messages: registry.counter("rta.messages"),
-            iterations: registry.counter("rta.iterations"),
-            busy_instances: registry.histogram("rta.busy_instances"),
-            diverged: registry.counter("rta.diverged"),
-        }
-    })
-}
+use std::sync::Arc;
 
 /// Tuning knobs of the analysis.
 #[derive(Debug, Clone, Copy)]

@@ -13,10 +13,11 @@ use carta_api::prelude::{
     Response, ScenarioSpec,
 };
 use carta_can::backend::BackendConfig;
-use carta_engine::prelude::Parallelism;
-use carta_obs::metrics::PhaseGuard;
+use carta_engine::prelude::{Evaluator, Parallelism};
+use carta_obs::Obs;
 use std::error::Error;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 type CmdResult = Result<String, Box<dyn Error>>;
 
@@ -28,26 +29,37 @@ type CmdResult = Result<String, Box<dyn Error>>;
 /// Propagates I/O, parse and analysis errors as boxed errors whose
 /// `Display` is the message shown to the user.
 pub fn run(args: &ParsedArgs) -> CmdResult {
-    let obs = ObsSession::start(args)?;
-    let mut out = dispatch(args)?;
-    obs.finish(&args.command, &mut out)?;
+    let session = ObsSession::start(args)?;
+    let mut out = dispatch(args, session.obs())?;
+    session.finish(&args.command, &mut out)?;
     Ok(out)
 }
 
-fn dispatch(args: &ParsedArgs) -> CmdResult {
+fn dispatch(args: &ParsedArgs, obs: &Obs) -> CmdResult {
     match args.command.as_str() {
         "help" | "--help" | "-h" => Ok(help_text()),
         "trace" => crate::obs::cmd_trace(args),
         // Fuzz owns repro-file I/O on top of the shared handler.
-        "fuzz" => cmd_fuzz(args),
+        "fuzz" => cmd_fuzz(args, obs),
         _ => {
             let request = request_from(args)?;
-            let handler = Handler::new(parallelism_from(args)?);
+            let handler = handler_from(args, obs)?;
             let response = handler.handle(&request)?;
-            let _phase = PhaseGuard::new("render");
+            let _phase = obs.phase("render");
             Ok(render_response(&response)?)
         }
     }
+}
+
+/// The invocation's handler: one evaluator at the `--jobs`
+/// parallelism, reporting to the session's observer.
+fn handler_from(args: &ParsedArgs, obs: &Obs) -> Result<Handler, Box<dyn Error>> {
+    let parallelism = parallelism_from(args, obs)?;
+    let evaluator = Evaluator::builder()
+        .parallelism(parallelism)
+        .obs(obs.clone())
+        .build();
+    Ok(Handler::with_evaluator(Arc::new(evaluator), parallelism))
 }
 
 /// The `help` text.
@@ -273,8 +285,10 @@ fn rates_from(args: &ParsedArgs) -> Result<Vec<u64>, Box<dyn Error>> {
 }
 
 /// Resolves `--jobs` into [`Parallelism`] (flag, then `CARTA_JOBS`,
-/// then all hardware threads).
-fn parallelism_from(args: &ParsedArgs) -> Result<Parallelism, Box<dyn Error>> {
+/// then all hardware threads). A malformed or zero `CARTA_JOBS` is
+/// warned about on stderr and counted as `engine.jobs.env_invalid` in
+/// the session's registry.
+fn parallelism_from(args: &ParsedArgs, obs: &Obs) -> Result<Parallelism, Box<dyn Error>> {
     let explicit = match args.flag("jobs") {
         None => None,
         Some(v) => Some(
@@ -282,7 +296,15 @@ fn parallelism_from(args: &ParsedArgs) -> Result<Parallelism, Box<dyn Error>> {
                 .map_err(|_| ParseArgsError(format!("invalid --jobs `{v}`")))?,
         ),
     };
-    Ok(Parallelism::resolve(explicit))
+    let env = std::env::var("CARTA_JOBS").ok();
+    let (parallelism, warning) = Parallelism::resolve_with_env(explicit, env.as_deref());
+    if let Some(warning) = warning {
+        eprintln!("warning: {warning}");
+        if let Some(registry) = obs.registry() {
+            registry.counter("engine.jobs.env_invalid").inc();
+        }
+    }
+    Ok(parallelism)
 }
 
 /// Maps a command error to the process exit code via the shared
@@ -305,8 +327,8 @@ fn unexpected(resp: &Response) -> Box<dyn Error> {
     )))
 }
 
-fn cmd_fuzz(args: &ParsedArgs) -> CmdResult {
-    let handler = Handler::new(parallelism_from(args)?);
+fn cmd_fuzz(args: &ParsedArgs, obs: &Obs) -> CmdResult {
+    let handler = handler_from(args, obs)?;
 
     if let Some(path) = args.flag("repro") {
         let text = std::fs::read_to_string(path)
@@ -337,7 +359,7 @@ fn cmd_fuzz(args: &ParsedArgs) -> CmdResult {
         Response::Fuzz(summary) => summary,
         other => return Err(unexpected(other)),
     };
-    let _phase = PhaseGuard::new("render");
+    let _phase = obs.phase("render");
     let mut out = render_fuzz(summary)?;
     if summary.report.passed() {
         return Ok(out);

@@ -2,11 +2,13 @@
 //! `--metrics-json <path>` and `--trace [<path>]` flags, and the
 //! `carta trace` replay subcommand.
 //!
-//! Every command runs inside an [`ObsSession`]. When any of the flags
-//! is present the session switches the global metrics registry on
-//! (and/or installs a JSONL span sink), snapshots the registry before
-//! the command, and reports the **delta** afterwards — so the numbers
-//! describe this invocation, not the process lifetime.
+//! Every command runs inside an [`ObsSession`], which owns the
+//! invocation's [`Obs`]: a fresh registry for `--metrics` and
+//! `--metrics-json`, a JSONL span sink for `--trace`, or nothing at
+//! all. The command's evaluator carries that `Obs`, so everything the
+//! command runs (sweeps, request phases, optimizer and fuzz runs)
+//! reports to it, and the session reports the registry as it is at the
+//! end — this invocation's numbers and nothing else.
 //!
 //! The `--metrics-json` document is the shared `carta.metrics.v1`
 //! schema built by [`carta_obs::report`] (the server's `/v1/metrics`
@@ -15,9 +17,10 @@
 use crate::args::{ParseArgsError, ParsedArgs};
 use crate::render::Table;
 use carta_obs::json::{self, Value};
-use carta_obs::metrics::{self, MetricValue, MetricsSnapshot};
+use carta_obs::metrics::{MetricValue, MetricsRegistry, MetricsSnapshot};
 use carta_obs::report::{metrics_json, Derived};
-use carta_obs::trace::JsonlSink;
+use carta_obs::trace::{JsonlSink, SpanSink};
+use carta_obs::Obs;
 use std::error::Error;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -36,13 +39,13 @@ pub struct ObsSession {
     print_table: bool,
     json_path: Option<PathBuf>,
     trace_path: Option<PathBuf>,
-    before: MetricsSnapshot,
+    obs: Obs,
     start: Instant,
 }
 
 impl ObsSession {
-    /// Reads the global observability flags and, when any is present,
-    /// enables collection before the command runs.
+    /// Reads the global observability flags and builds the observer
+    /// they ask for.
     ///
     /// # Errors
     ///
@@ -64,43 +67,41 @@ impl ObsSession {
             Some("") => Some(default_trace_path()),
             Some(path) => Some(PathBuf::from(path)),
         };
-        if print_table || json_path.is_some() {
-            metrics::set_enabled(true);
-        }
-        if let Some(path) = &trace_path {
-            let sink = JsonlSink::create(path)
-                .map_err(|e| ParseArgsError(format!("cannot create trace file: {e}")))?;
-            carta_obs::trace::install(Arc::new(sink));
-        }
+        let registry =
+            (print_table || json_path.is_some()).then(|| Arc::new(MetricsRegistry::new()));
+        let sink: Option<Arc<dyn SpanSink>> = match &trace_path {
+            None => None,
+            Some(path) => {
+                Some(Arc::new(JsonlSink::create(path).map_err(|e| {
+                    ParseArgsError(format!("cannot create trace file: {e}"))
+                })?))
+            }
+        };
         Ok(ObsSession {
             print_table,
             json_path,
             trace_path,
-            before: metrics::global().snapshot(),
+            obs: Obs::new(registry, sink),
             start: Instant::now(),
         })
     }
 
-    /// `true` when no observability flag was given (the session is a
-    /// no-op and `finish` appends nothing).
-    pub fn is_inert(&self) -> bool {
-        !self.print_table && self.json_path.is_none() && self.trace_path.is_none()
+    /// The invocation's observer, for the command's evaluator.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Closes the session: flushes the trace sink, writes the JSON
     /// report and appends the human-readable metrics table and file
-    /// notes to `out`.
+    /// notes to `out` (nothing when no flag was given).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from writing the JSON report.
     pub fn finish(self, command: &str, out: &mut String) -> Result<(), Box<dyn Error>> {
-        if self.is_inert() {
-            return Ok(());
-        }
         let wall = self.start.elapsed();
-        if let Some(path) = &self.trace_path {
-            carta_obs::trace::uninstall();
+        if let (Some(sink), Some(path)) = (self.obs.sink(), &self.trace_path) {
+            sink.flush();
             writeln!(
                 out,
                 "\ntrace written to {} (replay with `carta trace {}`)",
@@ -108,30 +109,30 @@ impl ObsSession {
                 path.display()
             )?;
         }
-        if !self.print_table && self.json_path.is_none() {
+        let Some(registry) = self.obs.registry() else {
             return Ok(());
-        }
-        let delta = metrics::global().snapshot().delta(&self.before);
-        let derived = Derived::from_delta(&delta, wall.as_secs_f64());
+        };
+        let snapshot = registry.snapshot();
+        let derived = Derived::from_delta(&snapshot, wall.as_secs_f64());
         if let Some(path) = &self.json_path {
             std::fs::write(
                 path,
-                metrics_json(command, wall.as_secs_f64(), &delta, &derived),
+                metrics_json(command, wall.as_secs_f64(), &snapshot, &derived),
             )?;
             writeln!(out, "\nmetrics written to {}", path.display())?;
         }
         if self.print_table {
             out.push('\n');
-            out.push_str(&metrics_table(wall.as_secs_f64(), &delta, &derived));
+            out.push_str(&metrics_table(wall.as_secs_f64(), &snapshot, &derived));
         }
         Ok(())
     }
 }
 
 /// Renders the human-readable `--metrics` table.
-fn metrics_table(wall_s: f64, delta: &MetricsSnapshot, derived: &Derived) -> String {
+fn metrics_table(wall_s: f64, snapshot: &MetricsSnapshot, derived: &Derived) -> String {
     let mut table = Table::new(["metric", "value"]);
-    for (name, value) in &delta.values {
+    for (name, value) in &snapshot.values {
         match value {
             MetricValue::Counter(v) => {
                 table.row([name.clone(), v.to_string()]);

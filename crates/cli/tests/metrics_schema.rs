@@ -133,3 +133,34 @@ fn analyze_metrics_and_trace_round_trip() {
     std::fs::remove_file(&json_path).ok();
     std::fs::remove_file(&trace_path).ok();
 }
+
+/// The counters of `doc`'s `metrics` map (absent names read as `None`).
+fn counter(doc: &Value, name: &str) -> Option<f64> {
+    doc.get("metrics")
+        .and_then(|m| m.get(name))
+        .and_then(Value::as_f64)
+}
+
+/// `optimize` and `fuzz` run their own evaluators; both must report to
+/// the invocation's registry.
+#[test]
+fn optimize_and_fuzz_report_their_own_counters() {
+    let path = temp_file("optimize.json");
+    let doc = run_with_metrics_json(
+        &["optimize", "-", "--population", "8", "--generations", "2"],
+        &path,
+    );
+    assert_eq!(counter(&doc, "optim.generations"), Some(2.0));
+    assert_eq!(counter(&doc, "optim.evaluations"), Some(16.0));
+    assert!(
+        counter(&doc, "engine.cache.misses").is_some_and(|m| m >= 1.0),
+        "the GA's evaluator reports nothing"
+    );
+    std::fs::remove_file(&path).ok();
+
+    let path = temp_file("fuzz.json");
+    let doc = run_with_metrics_json(&["fuzz", "--cases", "1"], &path);
+    assert_eq!(counter(&doc, "fuzz.laws"), Some(12.0));
+    assert_eq!(counter(&doc, "fuzz.cases"), Some(12.0));
+    std::fs::remove_file(&path).ok();
+}

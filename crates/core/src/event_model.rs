@@ -192,6 +192,11 @@ impl EventModel {
     /// assert_eq!(em.eta_plus(Time::from_ms(10)), 1);
     /// assert_eq!(em.eta_plus(Time::from_ms(10) + Time::from_ns(1)), 2);
     /// ```
+    // Inlined into the busy-window fixpoint of `carta-can`, which calls
+    // it once per interferer and iteration. As an out-of-line call, the
+    // sweep benchmark's throughput moved by about 10 % with unrelated
+    // code layout (2-vCPU Xeon VM).
+    #[inline]
     pub fn eta_plus(&self, window: Time) -> u64 {
         if window.is_zero() {
             return 0;

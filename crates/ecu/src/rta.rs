@@ -115,10 +115,6 @@ pub fn analyze_ecu(tasks: &[Task], config: &EcuAnalysisConfig) -> Result<EcuRepo
     if tasks.is_empty() {
         return Err(AnalysisError::InvalidModel("ECU has no tasks".into()));
     }
-    let _span = carta_obs::span!("rta.ecu", tasks = tasks.len());
-    if carta_obs::metrics::enabled() {
-        carta_obs::metrics::global().counter("rta.ecu.runs").inc();
-    }
     for (i, a) in tasks.iter().enumerate() {
         for b in &tasks[i + 1..] {
             if a.rank() == b.rank() {

@@ -13,8 +13,8 @@ use carta_can::rta::BusReport;
 use carta_core::analysis::AnalysisError;
 use carta_core::cancel::CancelToken;
 use carta_core::time::Time;
-use carta_obs::metrics::{self, Counter, Histogram, MetricsRegistry};
-use carta_obs::{event, span};
+use carta_obs::metrics::{Counter, Histogram, MetricsRegistry};
+use carta_obs::{event, span, Obs};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -60,28 +60,10 @@ impl Parallelism {
     }
 
     /// Resolves the job count the way the CLI does: an explicit
-    /// request wins, then the `CARTA_JOBS` environment variable, then
-    /// all available hardware threads.
-    ///
-    /// A malformed or zero `CARTA_JOBS` is *reported* — one warning
-    /// line on stderr plus an `engine.jobs.env_invalid` counter while
-    /// metrics are enabled — instead of silently falling back.
-    pub fn resolve(explicit: Option<usize>) -> Self {
-        let env = std::env::var("CARTA_JOBS").ok();
-        let (resolved, warning) = Self::resolve_with_env(explicit, env.as_deref());
-        if let Some(warning) = warning {
-            eprintln!("warning: {warning}");
-            if metrics::enabled() {
-                metrics::global().counter("engine.jobs.env_invalid").inc();
-            }
-        }
-        resolved
-    }
-
-    /// Pure resolution core of [`Parallelism::resolve`]: `env` is the
-    /// raw `CARTA_JOBS` value, if set. Returns the parallelism plus the
-    /// warning a malformed value deserves (the caller decides where it
-    /// goes).
+    /// request wins, then `env` — the raw `CARTA_JOBS` value, if set —
+    /// then all available hardware threads. Returns the parallelism
+    /// plus the warning a malformed or zero `env` deserves (the caller
+    /// decides where it goes, instead of silently falling back).
     pub fn resolve_with_env(explicit: Option<usize>, env: Option<&str>) -> (Self, Option<String>) {
         if let Some(n) = explicit {
             return (Parallelism::new(n), None);
@@ -108,9 +90,15 @@ impl Parallelism {
     }
 
     /// `CARTA_JOBS` / hardware-thread default (see
-    /// [`Parallelism::resolve`]).
+    /// [`Parallelism::resolve_with_env`]); a malformed or zero value
+    /// is reported as one warning line on stderr.
     pub fn from_env() -> Self {
-        Self::resolve(None)
+        let env = std::env::var("CARTA_JOBS").ok();
+        let (resolved, warning) = Self::resolve_with_env(None, env.as_deref());
+        if let Some(warning) = warning {
+            eprintln!("warning: {warning}");
+        }
+        resolved
     }
 
     /// The configured worker count.
@@ -292,19 +280,19 @@ impl<T: Clone> Memo<T> {
         }
     }
 
-    /// Locks `key`'s shard, counting contended acquisitions while
-    /// metrics are active.
+    /// Locks `key`'s shard, counting contended acquisitions when there
+    /// are metrics to count them in.
     fn shard(
         &self,
         key: &VariantKey,
-        metrics: &EngineMetrics,
+        metrics: Option<&EngineMetrics>,
     ) -> MutexGuard<'_, HashMap<VariantKey, T>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         let shard = &self.shards[(h.finish() as usize) % SHARDS];
-        if !metrics.active() {
+        let Some(metrics) = metrics else {
             return shard.lock().unwrap_or_else(PoisonError::into_inner);
-        }
+        };
         match shard.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
@@ -315,18 +303,18 @@ impl<T: Clone> Memo<T> {
         }
     }
 
-    fn get(&self, key: &VariantKey, metrics: &EngineMetrics) -> Option<T> {
+    fn get(&self, key: &VariantKey, metrics: Option<&EngineMetrics>) -> Option<T> {
         self.shard(key, metrics).get(key).cloned()
     }
 
     /// Stores `value` under `key` and returns the canonical entry:
     /// racing threads may both compute, and the first insert wins so
     /// all callers share one value.
-    fn insert(&self, key: VariantKey, value: T, metrics: &EngineMetrics) -> T {
+    fn insert(&self, key: VariantKey, value: T, metrics: Option<&EngineMetrics>) -> T {
         let mut shard = self.shard(&key, metrics);
         if let Some(capacity) = self.shard_capacity {
             if shard.len() >= capacity && !shard.contains_key(&key) {
-                if metrics.active() {
+                if let Some(metrics) = metrics {
                     metrics.evictions.add(shard.len() as u64);
                 }
                 shard.clear();
@@ -336,17 +324,15 @@ impl<T: Clone> Memo<T> {
     }
 }
 
-/// Pre-resolved metric handles for the engine's hot paths.
+/// Pre-resolved metric handles for the engine's hot paths, including
+/// the `rta.*` numbers of the solves and compiles this evaluator runs
+/// (the kernel itself records nothing).
 ///
-/// Handles are resolved once at evaluator construction so the per-point
-/// cost while recording is a handful of relaxed atomic adds — and while
-/// *not* recording, a single relaxed load in [`EngineMetrics::active`].
+/// Handles are resolved once at evaluator construction, and only when
+/// its [`Obs`] has a registry, so the per-point cost while recording is
+/// a handful of relaxed atomic adds — and without a registry, one
+/// `Option` check.
 struct EngineMetrics {
-    /// `true` when an explicit registry was bound via
-    /// [`EvaluatorBuilder::metrics`]: recording is then unconditional.
-    /// Otherwise the handles point into [`metrics::global`] and record
-    /// only while [`metrics::enabled`].
-    explicit: bool,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     contention: Arc<Counter>,
@@ -363,12 +349,18 @@ struct EngineMetrics {
     rta_cold_starts: Arc<Counter>,
     fault_panics: Arc<Counter>,
     fault_injected: Arc<Counter>,
+    solve_runs: Arc<Counter>,
+    solve_messages: Arc<Counter>,
+    solve_iterations: Arc<Counter>,
+    iters_saved: Arc<Counter>,
+    busy_instances: Arc<Histogram>,
+    diverged: Arc<Counter>,
+    compile_ns: Arc<Histogram>,
 }
 
 impl EngineMetrics {
-    fn bind(registry: &MetricsRegistry, explicit: bool) -> Self {
+    fn bind(registry: &MetricsRegistry) -> Self {
         EngineMetrics {
-            explicit,
             hits: registry.counter("engine.cache.hits"),
             misses: registry.counter("engine.cache.misses"),
             contention: registry.counter("engine.cache.contention"),
@@ -385,12 +377,14 @@ impl EngineMetrics {
             rta_cold_starts: registry.counter("engine.rta.cold_starts"),
             fault_panics: registry.counter("engine.faults.panics"),
             fault_injected: registry.counter("engine.faults.injected"),
+            solve_runs: registry.counter("rta.runs"),
+            solve_messages: registry.counter("rta.messages"),
+            solve_iterations: registry.counter("rta.iterations"),
+            iters_saved: registry.counter("rta.fixpoint_iters_saved"),
+            busy_instances: registry.histogram("rta.busy_instances"),
+            diverged: registry.counter("rta.diverged"),
+            compile_ns: registry.histogram("rta.compile_ns"),
         }
-    }
-
-    #[inline]
-    fn active(&self) -> bool {
-        self.explicit || metrics::enabled()
     }
 }
 
@@ -422,7 +416,7 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 pub struct EvaluatorBuilder {
     parallelism: Option<Parallelism>,
     cache_capacity: Option<usize>,
-    metrics: Option<Arc<MetricsRegistry>>,
+    obs: Obs,
     faults: Option<FaultPlan>,
 }
 
@@ -434,7 +428,8 @@ impl EvaluatorBuilder {
     }
 
     /// A pre-resolved [`Parallelism`] (e.g. from
-    /// [`Parallelism::resolve`]). Later of `jobs`/`parallelism` wins.
+    /// [`Parallelism::resolve_with_env`]). Later of `jobs`/`parallelism`
+    /// wins.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = Some(parallelism);
         self
@@ -450,10 +445,20 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Records engine metrics into `registry` unconditionally, instead
-    /// of into the global registry gated on [`metrics::enabled`].
+    /// Records the evaluator's metrics (`engine.*`, `rta.*` and those
+    /// of the sweeps run on it) into `registry`: the registry half of
+    /// [`EvaluatorBuilder::obs`], keeping any span sink already set.
     pub fn metrics(mut self, registry: &Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry.clone());
+        self.obs = Obs::new(Some(registry.clone()), self.obs.sink().cloned());
+        self
+    }
+
+    /// The observer of everything this evaluator runs: its metrics go
+    /// to the registry and its spans to the sink, where present. The
+    /// default observes nothing. Replaces an earlier
+    /// [`EvaluatorBuilder::metrics`].
+    pub fn obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
         self
     }
 
@@ -465,12 +470,12 @@ impl EvaluatorBuilder {
     }
 
     /// Builds the evaluator. Defaults: [`Parallelism::from_env`],
-    /// unbounded cache, global-registry metrics.
+    /// unbounded cache, no observer.
     pub fn build(self) -> Evaluator {
-        let metrics = match &self.metrics {
-            Some(registry) => EngineMetrics::bind(registry, true),
-            None => EngineMetrics::bind(metrics::global(), false),
-        };
+        let metrics = self
+            .obs
+            .registry()
+            .map(|registry| EngineMetrics::bind(registry));
         static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         // Per-shard budget; a capacity below SHARDS still keeps one
         // entry per shard rather than thrashing on every insert.
@@ -487,6 +492,7 @@ impl EvaluatorBuilder {
                 compiles: AtomicU64::new(0),
                 warm_starts: AtomicU64::new(0),
                 cold_starts: AtomicU64::new(0),
+                obs: self.obs,
                 metrics,
                 faults: self.faults,
                 fault_seq: AtomicU64::new(0),
@@ -519,7 +525,9 @@ struct EvalShared {
     compiles: AtomicU64,
     warm_starts: AtomicU64,
     cold_starts: AtomicU64,
-    metrics: EngineMetrics,
+    obs: Obs,
+    /// Handles into `obs`'s registry; `None` without one.
+    metrics: Option<EngineMetrics>,
     faults: Option<FaultPlan>,
     /// Counts uncached analyses, numbering them for [`FaultPlan`].
     fault_seq: AtomicU64,
@@ -601,6 +609,14 @@ impl Evaluator {
         self.shared.stats()
     }
 
+    /// The observer this evaluator reports to (see
+    /// [`EvaluatorBuilder::obs`]); work run on the evaluator's behalf —
+    /// sweeps, request phases, optimizer and fuzz runs — reports to it
+    /// too.
+    pub fn obs(&self) -> &Obs {
+        &self.shared.obs
+    }
+
     /// Evaluates one variant, consulting and filling the cache.
     ///
     /// # Errors
@@ -669,22 +685,23 @@ impl EvalShared {
             return Err(AnalysisError::Cancelled);
         }
         let key = variant.key();
-        if let Some(cached) = memo.get(&key, &self.metrics) {
+        let metrics = self.metrics.as_ref();
+        if let Some(cached) = memo.get(&key, metrics) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            if self.metrics.active() {
-                self.metrics.hits.inc();
+            if let Some(metrics) = metrics {
+                metrics.hits.inc();
             }
             return cached;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if self.metrics.active() {
-            self.metrics.misses.inc();
+        if let Some(metrics) = metrics {
+            metrics.misses.inc();
         }
         let (result, cacheable) = compute();
         if !cacheable {
             return result;
         }
-        memo.insert(key, result, &self.metrics)
+        memo.insert(key, result, metrics)
     }
 
     /// Deterministic evaluation core; `cancel` (when present) is polled
@@ -693,13 +710,23 @@ impl EvalShared {
     /// variant behaves exactly like a fresh evaluation.
     fn evaluate(&self, variant: &SystemVariant, cancel: Option<&CancelToken>) -> EvalResult {
         self.memoized(&self.reports, variant, cancel, || {
-            let start = self.metrics.active().then(Instant::now);
-            let outcome = self.analyze_contained(variant, cancel);
-            if let Some(start) = start {
-                self.metrics.eval_wall_ns.record(elapsed_ns(start));
-            }
-            outcome
+            self.timed(
+                |m| &m.eval_wall_ns,
+                || self.analyze_contained(variant, cancel),
+            )
         })
+    }
+
+    /// Runs `work`, timing it into one histogram of the metrics when
+    /// there are any (no clock is read otherwise).
+    fn timed<T>(&self, histogram: fn(&EngineMetrics) -> &Histogram, work: impl FnOnce() -> T) -> T {
+        let Some(metrics) = &self.metrics else {
+            return work();
+        };
+        let start = Instant::now();
+        let out = work();
+        histogram(metrics).record(elapsed_ns(start));
+        out
     }
 
     /// Probabilistic evaluation core (see [`Evaluator::evaluate_prob`]
@@ -745,22 +772,20 @@ impl EvalShared {
         cancel: Option<&CancelToken>,
     ) -> Vec<EvalResult> {
         let _span = span!(
+            self.obs,
             "engine.batch",
             points = variants.len(),
             jobs = self.parallelism.jobs()
         );
-        let timed = self.metrics.active();
-        if timed {
-            self.metrics.batch_runs.inc();
-            self.metrics.batch_points.add(variants.len() as u64);
-            self.metrics.queue_depth.record(variants.len() as u64);
+        if let Some(metrics) = &self.metrics {
+            metrics.batch_runs.inc();
+            metrics.batch_points.add(variants.len() as u64);
+            metrics.queue_depth.record(variants.len() as u64);
         }
-        let start = timed.then(Instant::now);
-        let out = self.evaluate_batch_inner(variants, cancel);
-        if let Some(start) = start {
-            self.metrics.batch_wall_ns.record(elapsed_ns(start));
-        }
-        out
+        self.timed(
+            |m| &m.batch_wall_ns,
+            || self.evaluate_batch_inner(variants, cancel),
+        )
     }
 
     /// Deterministic chunked execution behind [`Evaluator::evaluate_batch`].
@@ -795,10 +820,8 @@ impl EvalShared {
             {
                 self.process_chunk(chunk, rows, cancel);
             }
-            if self.metrics.active() {
-                self.metrics
-                    .batch_worker_points
-                    .record(variants.len() as u64);
+            if let Some(metrics) = &self.metrics {
+                metrics.batch_worker_points.record(variants.len() as u64);
             }
         } else {
             // Deterministic round-robin chunk plan, built before any
@@ -831,9 +854,9 @@ impl EvalShared {
                 // aborting the whole batch.
                 workers.into_iter().filter_map(|w| w.join().ok()).collect()
             });
-            if self.metrics.active() {
+            if let Some(metrics) = &self.metrics {
                 for points in worker_points {
-                    self.metrics.batch_worker_points.record(points);
+                    metrics.batch_worker_points.record(points);
                 }
             }
         }
@@ -870,8 +893,8 @@ impl EvalShared {
             return;
         }
         SCRATCH.with_borrow_mut(Scratch::start_chunk);
-        if self.metrics.active() {
-            self.metrics.batch_chunks.inc();
+        if let Some(metrics) = &self.metrics {
+            metrics.batch_chunks.inc();
         }
         for (row, variant) in out.iter_mut().zip(variants) {
             *row = Some(self.evaluate(variant, cancel));
@@ -881,9 +904,9 @@ impl EvalShared {
     /// The compiled bus of `variant`'s base under `stuffing`, from the
     /// shared cache. A miss counts one compile and stores `ready` —
     /// identical tables the thread already holds — or compiles the
-    /// *base* network without them; permutation overlays reorder it per
-    /// thread in [`EvalShared::tables_for`] instead of polluting this
-    /// cache.
+    /// *base* network without them, timed into `rta.compile_ns`;
+    /// permutation overlays reorder it per thread in
+    /// [`EvalShared::tables_for`] instead of polluting this cache.
     fn compiled_for(
         &self,
         variant: &SystemVariant,
@@ -897,7 +920,10 @@ impl EvalShared {
                 self.count_compile();
                 match ready {
                     Some(tables) => Ok(tables),
-                    None => CompiledBus::compile(variant.base().network(), stuffing).map(Arc::new),
+                    None => self.timed(
+                        |m| &m.compile_ns,
+                        || CompiledBus::compile(variant.base().network(), stuffing).map(Arc::new),
+                    ),
                 }
             })
             .clone()
@@ -942,21 +968,46 @@ impl EvalShared {
 
     fn count_compile(&self) {
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        if self.metrics.active() {
-            self.metrics.rta_compiles.inc();
+        if let Some(metrics) = &self.metrics {
+            metrics.rta_compiles.inc();
         }
     }
 
-    /// Counts the warm/cold busy-window starts of the latest solve.
-    fn record_solve(&self, ws: &RtaWorkspace) {
+    /// Counts the warm/cold busy-window starts of the latest solve and,
+    /// for an observer, records the solve's `rta.*` numbers from the
+    /// workspace's [`carta_can::compiled::SolveStats`] and the report,
+    /// with one `rta.diverged` event per overload diagnostic.
+    fn record_solve(&self, ws: &RtaWorkspace, report: &BusReport) {
         let stats = ws.last_stats();
         self.warm_starts
             .fetch_add(stats.warm_messages, Ordering::Relaxed);
         self.cold_starts
             .fetch_add(stats.cold_messages, Ordering::Relaxed);
-        if self.metrics.active() {
-            self.metrics.rta_warm_starts.add(stats.warm_messages);
-            self.metrics.rta_cold_starts.add(stats.cold_messages);
+        if let Some(metrics) = &self.metrics {
+            metrics.rta_warm_starts.add(stats.warm_messages);
+            metrics.rta_cold_starts.add(stats.cold_messages);
+            metrics.solve_runs.inc();
+            metrics.solve_messages.add(report.messages.len() as u64);
+            metrics.solve_iterations.add(stats.iterations);
+            metrics.iters_saved.add(stats.iters_saved);
+            metrics.diverged.add(report.diagnostics().count() as u64);
+            for message in &report.messages {
+                metrics.busy_instances.record(message.instances);
+            }
+        }
+        if self.obs.sink().is_none() {
+            return;
+        }
+        for diag in report.diagnostics() {
+            event!(
+                self.obs,
+                "rta.diverged",
+                msg = diag.entity,
+                level = diag.priority_level,
+                w = diag.busy_window,
+                q = diag.instances,
+                cause = diag.cause,
+            );
         }
     }
 
@@ -980,18 +1031,22 @@ impl EvalShared {
             plan.pick(seq)
         });
         if injected == Some(InjectedFault::Invalid) {
-            if self.metrics.active() {
-                self.metrics.fault_injected.inc();
+            if let Some(metrics) = &self.metrics {
+                metrics.fault_injected.inc();
             }
-            event!("engine.fault.injected", kind = "invalid-model");
+            event!(self.obs, "engine.fault.injected", kind = "invalid-model");
             let err = AnalysisError::InvalidModel("injected fault: invalid model".into());
             return (Err(err), false);
         }
         if injected == Some(InjectedFault::Diverge) {
-            if self.metrics.active() {
-                self.metrics.fault_injected.inc();
+            if let Some(metrics) = &self.metrics {
+                metrics.fault_injected.inc();
             }
-            event!("engine.fault.injected", kind = "forced-divergence");
+            event!(
+                self.obs,
+                "engine.fault.injected",
+                kind = "forced-divergence"
+            );
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             self.analyze_uncached(variant, injected, cancel)
@@ -1008,10 +1063,10 @@ impl EvalShared {
                 // Replaces the thread's scratch with a fresh default.
                 SCRATCH.take();
                 let detail = panic_detail(payload.as_ref());
-                if self.metrics.active() {
-                    self.metrics.fault_panics.inc();
+                if let Some(metrics) = &self.metrics {
+                    metrics.fault_panics.inc();
                 }
-                event!("engine.fault.contained", detail = detail);
+                event!(self.obs, "engine.fault.contained", detail = detail);
                 (Err(AnalysisError::Panicked { detail }), false)
             }
         }
@@ -1052,6 +1107,7 @@ impl EvalShared {
                 // state.
                 panic!("injected fault: panic during analysis");
             }
+            let _span = span!(self.obs, "rta.bus", msgs = point.len());
             let solved = match cancel {
                 Some(token) => tables.solve_point_cancellable(
                     &point,
@@ -1067,7 +1123,7 @@ impl EvalShared {
             // was invalidated by the solver, no stats are recorded, and
             // the caller never caches the error.
             let report = solved?;
-            self.record_solve(&scratch.ws);
+            self.record_solve(&scratch.ws, &report);
             Ok(Arc::new(report))
         })
     }
@@ -1459,11 +1515,12 @@ mod tests {
     #[test]
     fn forced_divergence_degrades_the_report_without_caching_it() {
         let registry = Arc::new(MetricsRegistry::new());
+        let ring = Arc::new(carta_obs::RingBufferSink::new(64));
         let base = BaseSystem::new(net(4));
         let v = SystemVariant::new(base, Scenario::worst_case()).with_jitter_ratio(0.1);
         let eval = Evaluator::builder()
             .parallelism(Parallelism::sequential())
-            .metrics(&registry)
+            .obs(Obs::new(Some(registry.clone()), Some(ring.clone())))
             .faults(FaultPlan {
                 diverge_at: Some(0),
                 ..FaultPlan::default()
@@ -1479,12 +1536,19 @@ mod tests {
         );
         let snap = registry.snapshot();
         assert_eq!(snap.counter("engine.faults.injected"), Some(1));
+        // The evaluator records the kernel's numbers from its reports.
+        assert_eq!(snap.counter("rta.runs"), Some(2));
+        assert_eq!(snap.counter("rta.diverged"), Some(4));
+        let events = ring.drain();
+        let named = |name: &str| events.iter().filter(|e| e.name == name).count();
+        assert_eq!(named("rta.diverged"), 4, "one event per diagnostic");
+        assert_eq!(named("rta.bus"), 4, "two solves, enter and exit each");
     }
 
     #[test]
     fn parallelism_resolution_precedence() {
         assert_eq!(Parallelism::new(0).jobs(), 1);
-        assert_eq!(Parallelism::resolve(Some(3)).jobs(), 3);
+        assert_eq!(Parallelism::resolve_with_env(Some(3), None).0.jobs(), 3);
         assert!(Parallelism::from_env().jobs() >= 1);
         assert_eq!(Parallelism::sequential().jobs(), 1);
     }

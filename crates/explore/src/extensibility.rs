@@ -85,7 +85,7 @@ pub(crate) fn max_additional_ecus_impl(
     template: &EcuTemplate,
     cap: usize,
 ) -> Result<usize, AnalysisError> {
-    let _span = carta_obs::span!("sweep.ecu_headroom", cap = cap);
+    let _span = carta_obs::span!(eval.obs(), "sweep.ecu_headroom", cap = cap);
     let fits = |count: usize| -> Result<bool, AnalysisError> {
         let extended = with_additional_ecus(net, template, count)?;
         let v = SystemVariant::new(BaseSystem::new(extended), scenario.clone());

@@ -81,7 +81,7 @@ pub(crate) fn loss_vs_jitter_impl(
     scenario: &Scenario,
     ratios: &[f64],
 ) -> Result<LossCurve, AnalysisError> {
-    let _span = carta_obs::span!("sweep.loss", points = ratios.len());
+    let _span = carta_obs::span!(eval.obs(), "sweep.loss", points = ratios.len());
     let base = BaseSystem::new(net.clone());
     let variants: Vec<SystemVariant> = ratios
         .iter()
@@ -109,7 +109,7 @@ pub(crate) fn loss_vs_jitter_impl(
                 // Classify, don't drop: a point whose analysis died is
                 // reported as fully lost so the curve stays aligned
                 // with the requested grid.
-                carta_obs::event!("sweep.point.failed", ratio = ratio, error = err);
+                carta_obs::event!(eval.obs(), "sweep.point.failed", ratio = ratio, error = err);
                 LossPoint {
                     jitter_ratio: ratio,
                     missed: total,
@@ -119,6 +119,7 @@ pub(crate) fn loss_vs_jitter_impl(
             }
         };
         carta_obs::event!(
+            eval.obs(),
             "sweep.point",
             ratio = ratio,
             missed = point.missed,
@@ -126,7 +127,7 @@ pub(crate) fn loss_vs_jitter_impl(
         );
         points.push(point);
     }
-    crate::sweeps::record_sweep_points(ratios.len());
+    crate::sweeps::record_sweep_points(eval, ratios.len());
     Ok(LossCurve {
         scenario: scenario.name.clone(),
         points,
@@ -217,7 +218,7 @@ pub(crate) fn prob_loss_vs_jitter_impl(
     scenario: &Scenario,
     ratios: &[f64],
 ) -> Result<ProbLossCurve, AnalysisError> {
-    let _span = carta_obs::span!("sweep.prob_loss", points = ratios.len());
+    let _span = carta_obs::span!(eval.obs(), "sweep.prob_loss", points = ratios.len());
     let base = BaseSystem::new(net.clone());
     let variants: Vec<SystemVariant> = ratios
         .iter()
@@ -255,7 +256,7 @@ pub(crate) fn prob_loss_vs_jitter_impl(
                 failed: false,
             },
             Err(err) => {
-                carta_obs::event!("sweep.point.failed", ratio = ratio, error = err);
+                carta_obs::event!(eval.obs(), "sweep.point.failed", ratio = ratio, error = err);
                 ProbLossPoint {
                     jitter_ratio: ratio,
                     expected_missed: total as f64,
@@ -267,6 +268,7 @@ pub(crate) fn prob_loss_vs_jitter_impl(
             }
         };
         carta_obs::event!(
+            eval.obs(),
             "sweep.point",
             ratio = ratio,
             expected = point.expected_missed,
@@ -274,7 +276,7 @@ pub(crate) fn prob_loss_vs_jitter_impl(
         );
         points.push(point);
     }
-    crate::sweeps::record_sweep_points(ratios.len());
+    crate::sweeps::record_sweep_points(eval, ratios.len());
     Ok(ProbLossCurve {
         scenario: scenario.name.clone(),
         points,

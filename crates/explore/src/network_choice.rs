@@ -45,7 +45,7 @@ pub(crate) fn compare_bit_rates_impl(
     candidates: &[u64],
     template: &EcuTemplate,
 ) -> Result<Vec<BitRateOption>, AnalysisError> {
-    let _span = carta_obs::span!("sweep.bit_rates", candidates = candidates.len());
+    let _span = carta_obs::span!(eval.obs(), "sweep.bit_rates", candidates = candidates.len());
     let mut options = Vec::with_capacity(candidates.len());
     for &bit_rate in candidates {
         let variant = retimed(net, bit_rate);
@@ -72,7 +72,7 @@ pub(crate) fn compare_bit_rates_impl(
             ecu_headroom,
         });
     }
-    crate::sweeps::record_sweep_points(candidates.len());
+    crate::sweeps::record_sweep_points(eval, candidates.len());
     Ok(options)
 }
 

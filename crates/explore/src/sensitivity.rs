@@ -110,7 +110,7 @@ pub(crate) fn response_vs_jitter_impl(
     ratios: &[f64],
     only: Option<&[&str]>,
 ) -> Result<Vec<SensitivitySeries>, AnalysisError> {
-    let _span = carta_obs::span!("sweep.sensitivity", points = ratios.len());
+    let _span = carta_obs::span!(eval.obs(), "sweep.sensitivity", points = ratios.len());
     let selected = select(net, only);
     let mut series = empty_series(net, &selected, ratios.len());
     let base = BaseSystem::new(net.clone());
@@ -127,7 +127,12 @@ pub(crate) fn response_vs_jitter_impl(
     for (&ratio, result) in ratios.iter().zip(results) {
         match result {
             Ok(report) => {
-                carta_obs::event!("sweep.point", ratio = ratio, missed = report.missed_count());
+                carta_obs::event!(
+                    eval.obs(),
+                    "sweep.point",
+                    ratio = ratio,
+                    missed = report.missed_count()
+                );
                 for (k, &i) in selected.iter().enumerate() {
                     series[k]
                         .points
@@ -138,14 +143,14 @@ pub(crate) fn response_vs_jitter_impl(
                 // Classify, don't drop: a failed point counts as
                 // unbounded for every message, pushing the affected
                 // series into `VerySensitive`.
-                carta_obs::event!("sweep.point.failed", ratio = ratio, error = err);
+                carta_obs::event!(eval.obs(), "sweep.point.failed", ratio = ratio, error = err);
                 for s in series.iter_mut() {
                     s.points.push((ratio, None));
                 }
             }
         }
     }
-    crate::sweeps::record_sweep_points(ratios.len());
+    crate::sweeps::record_sweep_points(eval, ratios.len());
     Ok(series)
 }
 
@@ -167,7 +172,7 @@ pub(crate) fn response_vs_error_rate_impl(
     intervals: &[Time],
     only: Option<&[&str]>,
 ) -> Result<Vec<SensitivitySeries>, AnalysisError> {
-    let _span = carta_obs::span!("sweep.error_rate", points = intervals.len());
+    let _span = carta_obs::span!(eval.obs(), "sweep.error_rate", points = intervals.len());
     let selected = select(net, only);
     let mut series = empty_series(net, &selected, intervals.len());
     let base = BaseSystem::new(net.clone());
@@ -193,6 +198,7 @@ pub(crate) fn response_vs_error_rate_impl(
         match result {
             Ok(report) => {
                 carta_obs::event!(
+                    eval.obs(),
                     "sweep.point",
                     interval_ms = interval.as_ms_f64(),
                     missed = report.missed_count()
@@ -205,6 +211,7 @@ pub(crate) fn response_vs_error_rate_impl(
             }
             Err(err) => {
                 carta_obs::event!(
+                    eval.obs(),
                     "sweep.point.failed",
                     interval_ms = interval.as_ms_f64(),
                     error = err
@@ -215,7 +222,7 @@ pub(crate) fn response_vs_error_rate_impl(
             }
         }
     }
-    crate::sweeps::record_sweep_points(intervals.len());
+    crate::sweeps::record_sweep_points(eval, intervals.len());
     Ok(series)
 }
 
@@ -235,7 +242,7 @@ pub(crate) fn max_schedulable_jitter_impl(
     max_ratio: f64,
     tolerance: f64,
 ) -> Result<Option<f64>, AnalysisError> {
-    let _span = carta_obs::span!("sweep.jitter_slack", max_ratio = max_ratio);
+    let _span = carta_obs::span!(eval.obs(), "sweep.jitter_slack", max_ratio = max_ratio);
     let base = BaseSystem::new(net.clone());
     let ok = |ratio: f64| -> Result<bool, AnalysisError> {
         let v = SystemVariant::new(base.clone(), scenario.clone()).with_jitter_ratio(ratio);

@@ -289,12 +289,11 @@ impl Sweeps for Evaluator {
     }
 }
 
-/// Bumps the global sweep counters (`sweep.runs`, `sweep.points`) when
-/// metrics collection is enabled. Called once per completed sweep by
-/// the `*_impl` bodies.
-pub(crate) fn record_sweep_points(points: usize) {
-    if carta_obs::metrics::enabled() {
-        let registry = carta_obs::metrics::global();
+/// Bumps the sweep counters (`sweep.runs`, `sweep.points`) in the
+/// evaluator's registry, if it has one. Called once per completed sweep
+/// by the `*_impl` bodies.
+pub(crate) fn record_sweep_points(eval: &Evaluator, points: usize) {
+    if let Some(registry) = eval.obs().registry() {
         registry.counter("sweep.runs").inc();
         registry.counter("sweep.points").add(points as u64);
     }
@@ -339,16 +338,14 @@ mod tests {
 
     #[test]
     fn sweep_counters_accumulate_when_enabled() {
-        let was = carta_obs::metrics::enabled();
-        carta_obs::metrics::set_enabled(true);
-        let registry = carta_obs::metrics::global();
-        let runs_before = registry.counter("sweep.runs").get();
-        let points_before = registry.counter("sweep.points").get();
-        Evaluator::default()
+        let registry = std::sync::Arc::new(carta_obs::MetricsRegistry::new());
+        Evaluator::builder()
+            .metrics(&registry)
+            .build()
             .loss_vs_jitter(&net(), &Scenario::best_case(), &[0.0, 0.1])
             .expect("valid model");
-        assert_eq!(registry.counter("sweep.runs").get(), runs_before + 1);
-        assert_eq!(registry.counter("sweep.points").get(), points_before + 2);
-        carta_obs::metrics::set_enabled(was);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("sweep.runs"), Some(1));
+        assert_eq!(snap.counter("sweep.points"), Some(2));
     }
 }

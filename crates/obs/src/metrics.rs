@@ -2,15 +2,14 @@
 //!
 //! Recording is lock-free (`Relaxed` atomics on pre-resolved handles);
 //! the registry itself is only locked when a handle is first resolved
-//! or a snapshot is taken. A process-wide [`global`] registry backs the
-//! library facade; it records only while [`enabled`] — a single relaxed
-//! load — so instrumentation in hot paths is effectively free when
-//! observability is off.
+//! or a snapshot is taken. There is no process-wide registry: each
+//! observer owns one and hands it out inside an [`crate::Obs`], and
+//! code without a registry records nothing.
 
 use crate::json::ObjectBuilder;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A monotonically increasing counter.
@@ -57,8 +56,9 @@ const BUCKETS: usize = 65;
 
 /// A log₂-bucketed histogram of `u64` samples (typically nanoseconds
 /// or counts). Quantiles are approximate — resolved to the geometric
-/// midpoint of their bucket — which is plenty for "is this microseconds
-/// or milliseconds" observability questions.
+/// midpoint of their bucket, clamped to the recorded range — which is
+/// plenty for "is this microseconds or milliseconds" observability
+/// questions.
 pub struct Histogram {
     count: AtomicU64,
     sum: AtomicU64,
@@ -128,17 +128,22 @@ impl Histogram {
             }
             0
         };
+        let min = if count == 0 {
+            0
+        } else {
+            self.min.load(Ordering::Relaxed)
+        };
+        let max = self.max.load(Ordering::Relaxed);
         HistogramSummary {
             count,
             sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
-            p50: quantile(0.50),
-            p99: quantile(0.99),
+            min,
+            max,
+            // A bucket midpoint can lie outside the samples it stands
+            // for; no quantile may. (Not `clamp`: a snapshot racing the
+            // first `record` may read `min > max`.)
+            p50: quantile(0.50).max(min).min(max),
+            p99: quantile(0.99).max(min).min(max),
         }
     }
 }
@@ -154,9 +159,10 @@ pub struct HistogramSummary {
     pub min: u64,
     /// Largest sample.
     pub max: u64,
-    /// Approximate median (bucket midpoint).
+    /// Approximate median (bucket midpoint within `[min, max]`).
     pub p50: u64,
-    /// Approximate 99th percentile (bucket midpoint).
+    /// Approximate 99th percentile (bucket midpoint within
+    /// `[min, max]`).
     pub p99: u64,
 }
 
@@ -367,60 +373,34 @@ impl MetricsSnapshot {
     }
 }
 
-static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// The process-wide registry the library facade records into.
-pub fn global() -> &'static MetricsRegistry {
-    GLOBAL.get_or_init(MetricsRegistry::new)
-}
-
-/// `true` once global metrics collection has been switched on.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Switches global metrics collection on or off.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
 /// Scope guard recording the wall time of a named phase into the
-/// global registry (counter `phase.<name>.wall_ns`) — the CLI's
-/// per-phase timing. Inert unless [`enabled`] at construction.
+/// counter `phase.<name>.wall_ns` of its observer's registry — the
+/// per-phase timing of a CLI run or a server request. Made by
+/// [`crate::Obs::phase`]; inert, reading no clock, without a registry.
 #[derive(Debug)]
-pub struct PhaseGuard {
+pub struct PhaseGuard<'a> {
     name: &'static str,
-    start: Option<Instant>,
+    timing: Option<(&'a MetricsRegistry, Instant)>,
 }
 
-impl PhaseGuard {
-    /// Starts timing `name` (a no-op when global metrics are off).
-    #[must_use = "the phase is timed until the guard drops"]
-    pub fn new(name: &'static str) -> Self {
+impl<'a> PhaseGuard<'a> {
+    pub(crate) fn start(registry: Option<&'a MetricsRegistry>, name: &'static str) -> Self {
         PhaseGuard {
             name,
-            start: enabled().then(Instant::now),
+            timing: registry.map(|registry| (registry, Instant::now())),
         }
     }
 }
 
-impl Drop for PhaseGuard {
+impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
+        if let Some((registry, start)) = self.timing {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            global()
+            registry
                 .counter(&format!("phase.{}.wall_ns", self.name))
                 .add(ns);
         }
     }
-}
-
-/// Starts timing a named phase; see [`PhaseGuard`].
-#[must_use = "the phase is timed until the guard drops"]
-pub fn phase(name: &'static str) -> PhaseGuard {
-    PhaseGuard::new(name)
 }
 
 #[cfg(test)]
@@ -499,23 +479,22 @@ mod tests {
     }
 
     #[test]
-    fn phase_guard_records_only_when_enabled() {
-        // Note: the enabled flag is process-global; this test leaves it
-        // exactly as it found it.
-        let was = enabled();
-        set_enabled(false);
-        drop(phase("obs_test_off"));
-        assert_eq!(
-            global().snapshot().counter("phase.obs_test_off.wall_ns"),
-            None
-        );
-        set_enabled(true);
-        drop(phase("obs_test_on"));
-        let recorded = global()
-            .snapshot()
-            .counter("phase.obs_test_on.wall_ns")
-            .expect("recorded");
-        assert!(recorded > 0);
-        set_enabled(was);
+    fn quantiles_stay_inside_the_recorded_range() {
+        let h = Histogram::default();
+        h.record(8);
+        h.record(8);
+        let s = h.summary();
+        assert_eq!((s.min, s.p50, s.p99, s.max), (8, 8, 8, 8));
+    }
+
+    #[test]
+    fn phase_guard_records_only_with_a_registry() {
+        drop(crate::Obs::default().phase("quiet"));
+        let registry = Arc::new(MetricsRegistry::new());
+        let obs = crate::Obs::new(Some(registry.clone()), None);
+        drop(obs.phase("timed"));
+        let snap = registry.snapshot();
+        assert!(snap.counter("phase.timed.wall_ns").is_some());
+        assert_eq!(snap.counter("phase.quiet.wall_ns"), None);
     }
 }

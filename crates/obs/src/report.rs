@@ -21,8 +21,9 @@
 //! }
 //! ```
 //!
-//! `metrics` maps every metric name touched during the window to its
-//! delta: counters and gauges to numbers, histograms to
+//! `metrics` maps every metric of the reporting observer's registry
+//! (one CLI invocation, or one server since bind) to its value:
+//! counters and gauges to numbers, histograms to
 //! `{count, sum, min, max, p50, p99, mean}` objects.
 
 use crate::json::ObjectBuilder;
@@ -31,7 +32,7 @@ use crate::metrics::MetricsSnapshot;
 /// The schema identifier stamped on every report.
 pub const SCHEMA: &str = "carta.metrics.v1";
 
-/// Headline numbers computed from a snapshot delta.
+/// Headline numbers computed from the metrics of one window.
 #[derive(Debug, Clone, Copy)]
 pub struct Derived {
     /// Evaluator memo-cache hit rate over the window (0..1).
@@ -41,8 +42,9 @@ pub struct Derived {
 }
 
 impl Derived {
-    /// Computes the derived numbers from a snapshot delta and the
-    /// wall-clock seconds the window spans.
+    /// Computes the derived numbers from the metrics of a window (a
+    /// registry snapshot, or the delta of two) and the wall-clock
+    /// seconds the window spans.
     pub fn from_delta(delta: &MetricsSnapshot, wall_s: f64) -> Self {
         let hits = delta.counter("engine.cache.hits").unwrap_or(0);
         let misses = delta.counter("engine.cache.misses").unwrap_or(0);

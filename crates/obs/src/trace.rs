@@ -1,11 +1,12 @@
 //! Scoped-span tracing facade with pluggable sinks.
 //!
 //! Instrumented code opens spans with [`span!`] and emits point events
-//! with [`event!`]. Both are no-ops — a single relaxed atomic load,
-//! with field formatting never evaluated — until a sink is
-//! [`install`]ed. Sinks receive [`SpanEvent`] records; the crate ships
-//! a [`NullSink`], a [`StderrSink`], an in-memory [`RingBufferSink`]
-//! (backing `carta trace`) and a [`JsonlSink`] file writer.
+//! with [`event!`], both addressed to an [`crate::Obs`]. Without a sink
+//! in that observer they are no-ops — one `Option` check, with field
+//! formatting never evaluated and no clock read. Sinks receive
+//! [`SpanEvent`] records; the crate ships a [`NullSink`], a
+//! [`StderrSink`], an in-memory [`RingBufferSink`] and a [`JsonlSink`]
+//! file writer (behind `carta --trace`).
 
 use crate::json::ObjectBuilder;
 use std::cell::Cell;
@@ -13,8 +14,7 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// What a [`SpanEvent`] marks.
@@ -226,96 +226,51 @@ impl SpanSink for JsonlSink {
     }
 }
 
-static SINK: RwLock<Option<Arc<dyn SpanSink>>> = RwLock::new(None);
-static TRACING: AtomicBool = AtomicBool::new(false);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 thread_local! {
     static DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
-fn epoch() -> Instant {
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Installs `sink` as the process-wide tracing sink and turns tracing
-/// on. Replaces any previous sink (after flushing it).
-pub fn install(sink: Arc<dyn SpanSink>) {
-    epoch(); // pin t=0 no later than the first event
-    let previous = SINK
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .replace(sink);
-    if let Some(previous) = previous {
-        previous.flush();
-    }
-    TRACING.store(true, Ordering::Release);
-}
-
-/// Turns tracing off, flushes and removes the current sink (returned
-/// so callers can e.g. drain a ring buffer).
-pub fn uninstall() -> Option<Arc<dyn SpanSink>> {
-    TRACING.store(false, Ordering::Release);
-    let sink = SINK
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take();
-    if let Some(sink) = &sink {
-        sink.flush();
-    }
-    sink
-}
-
-/// `true` while a sink is installed. One relaxed load — this is the
-/// fast path instrumented code checks before formatting anything.
-#[inline]
-pub fn tracing_enabled() -> bool {
-    TRACING.load(Ordering::Relaxed)
-}
-
-fn dispatch(event: SpanEvent) {
-    if let Some(sink) = SINK
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .as_ref()
-    {
-        sink.record(&event);
-    }
-}
-
+/// Nanoseconds since the first traced event of the process.
 fn now_ns() -> u64 {
-    u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
+    let epoch = *EPOCH.get_or_init(Instant::now);
+    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// RAII guard for one span: emits `Enter` on creation and `Exit` (with
-/// duration) on drop. Created via the [`span!`] macro; inert when
-/// tracing is off at creation time.
+/// duration) on drop. Created via the [`span!`] macro; inert when its
+/// observer has no sink.
 #[derive(Debug)]
-pub struct SpanGuard {
+pub struct SpanGuard<'a> {
     name: &'static str,
     /// `Some` only when the guard actually opened a span.
-    start: Option<Instant>,
+    open: Option<(&'a Arc<dyn SpanSink>, Instant)>,
     depth: usize,
 }
 
-impl SpanGuard {
-    /// Opens a span named `name`; `fields` is only invoked when tracing
-    /// is enabled. Prefer the [`span!`] macro.
+impl<'a> SpanGuard<'a> {
+    /// Opens a span named `name` in `sink`; `fields` is only invoked
+    /// when there is a sink. Prefer the [`span!`] macro.
     #[must_use = "the span closes when the guard drops"]
-    pub fn new(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, String)>) -> Self {
-        if !tracing_enabled() {
+    pub fn new(
+        sink: Option<&'a Arc<dyn SpanSink>>,
+        name: &'static str,
+        fields: impl FnOnce() -> Vec<(&'static str, String)>,
+    ) -> Self {
+        let Some(sink) = sink else {
             return SpanGuard {
                 name,
-                start: None,
+                open: None,
                 depth: 0,
             };
-        }
+        };
         let depth = DEPTH.with(|d| {
             let depth = d.get();
             d.set(depth + 1);
             depth
         });
-        dispatch(SpanEvent {
+        sink.record(&SpanEvent {
             kind: SpanKind::Enter,
             name,
             fields: fields(),
@@ -326,17 +281,19 @@ impl SpanGuard {
         });
         SpanGuard {
             name,
-            start: Some(Instant::now()),
+            open: Some((sink, Instant::now())),
             depth,
         }
     }
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
+        let Some((sink, start)) = self.open else {
+            return;
+        };
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        dispatch(SpanEvent {
+        sink.record(&SpanEvent {
             kind: SpanKind::Exit,
             name: self.name,
             fields: Vec::new(),
@@ -348,13 +305,15 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Emits a point-in-time event; `fields` is only invoked when tracing
-/// is enabled. Prefer the [`event!`] macro.
-pub fn instant(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, String)>) {
-    if !tracing_enabled() {
-        return;
-    }
-    dispatch(SpanEvent {
+/// Emits a point-in-time event into `sink`; `fields` is only invoked
+/// when there is a sink. Prefer the [`event!`] macro.
+pub fn instant(
+    sink: Option<&Arc<dyn SpanSink>>,
+    name: &'static str,
+    fields: impl FnOnce() -> Vec<(&'static str, String)>,
+) {
+    let Some(sink) = sink else { return };
+    sink.record(&SpanEvent {
         kind: SpanKind::Instant,
         name,
         fields: fields(),
@@ -365,27 +324,29 @@ pub fn instant(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, S
     });
 }
 
-/// Opens a scoped span: `let _s = span!("rta.bus", msg = id);`
+/// Opens a scoped span in an observer:
+/// `let _s = span!(obs, "rta.bus", msgs = n);`
 ///
 /// The guard closes the span when dropped. Field values are formatted
-/// with `Display` and only when a sink is installed.
+/// with `Display` and only when the [`crate::Obs`] has a sink.
 #[macro_export]
 macro_rules! span {
-    ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        $crate::trace::SpanGuard::new($name, || {
+    ($obs:expr, $name:expr $(, $key:ident = $value:expr)* $(,)?) => {
+        $crate::trace::SpanGuard::new($obs.sink(), $name, || {
             vec![$((stringify!($key), format!("{}", $value))),*]
         })
     };
 }
 
-/// Emits a point event: `event!("rta.verdict", ok = schedulable);`
+/// Emits a point event in an observer:
+/// `event!(obs, "rta.verdict", ok = schedulable);`
 ///
-/// Field values are formatted with `Display` and only when a sink is
-/// installed.
+/// Field values are formatted with `Display` and only when the
+/// [`crate::Obs`] has a sink.
 #[macro_export]
 macro_rules! event {
-    ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        $crate::trace::instant($name, || {
+    ($obs:expr, $name:expr $(, $key:ident = $value:expr)* $(,)?) => {
+        $crate::trace::instant($obs.sink(), $name, || {
             vec![$((stringify!($key), format!("{}", $value))),*]
         })
     };
@@ -396,24 +357,19 @@ mod tests {
     use super::*;
     use crate::json::parse;
 
-    // The sink slot is process-global, so every test that installs one
-    // runs under this lock to avoid cross-talk (Rust runs tests in
-    // threads of one process).
-    static TEST_SINK_LOCK: Mutex<()> = Mutex::new(());
+    use crate::Obs;
 
     #[test]
     fn spans_nest_and_balance() {
-        let _guard = TEST_SINK_LOCK.lock().unwrap();
         let ring = Arc::new(RingBufferSink::new(64));
-        install(ring.clone());
+        let obs = Obs::new(None, Some(ring.clone()));
         {
-            let _outer = span!("outer", a = 1);
+            let _outer = span!(obs, "outer", a = 1);
             {
-                let _inner = span!("inner");
-                event!("tick", n = 2);
+                let _inner = span!(obs, "inner");
+                event!(obs, "tick", n = 2);
             }
         }
-        uninstall();
         let events = ring.drain();
         let kinds: Vec<(SpanKind, &str, usize)> =
             events.iter().map(|e| (e.kind, e.name, e.depth)).collect();
@@ -433,16 +389,15 @@ mod tests {
 
     #[test]
     fn disabled_tracing_skips_field_formatting() {
-        let _guard = TEST_SINK_LOCK.lock().unwrap();
-        uninstall();
         let mut formatted = false;
+        let obs = Obs::default();
         {
-            let _s = SpanGuard::new("quiet", || {
+            let _s = SpanGuard::new(obs.sink(), "quiet", || {
                 formatted = true;
                 Vec::new()
             });
         }
-        assert!(!formatted, "field closure must not run when disabled");
+        assert!(!formatted, "field closure must not run without a sink");
     }
 
     #[test]
@@ -491,14 +446,13 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_lines() {
-        let _guard = TEST_SINK_LOCK.lock().unwrap();
         let path = std::env::temp_dir().join("carta-obs-jsonl-test.jsonl");
-        let sink = Arc::new(JsonlSink::create(&path).expect("create"));
-        install(sink);
+        let sink: Arc<dyn SpanSink> = Arc::new(JsonlSink::create(&path).expect("create"));
+        let obs = Obs::new(None, Some(sink.clone()));
         {
-            let _s = span!("file.span");
+            let _s = span!(obs, "file.span");
         }
-        uninstall();
+        sink.flush();
         let text = std::fs::read_to_string(&path).expect("read back");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "enter + exit");

@@ -12,13 +12,15 @@
 //! configurations.
 
 use crate::permutation::Permutation;
-use crate::spea2::{optimize, Problem, Spea2Config, Spea2Result};
+use crate::spea2::{archive_spread, optimize, Problem, Spea2Config, Spea2Result};
 use carta_can::network::CanNetwork;
 use carta_engine::prelude::{
     BaseSystem, CacheStats, EvalResult, Evaluator, Parallelism, SystemVariant,
 };
 use carta_explore::jitter::with_jitter_ratio;
 use carta_explore::scenario::Scenario;
+use carta_obs::metrics::MetricsRegistry;
+use carta_obs::{span, Obs};
 use rand::rngs::StdRng;
 use std::sync::Arc;
 
@@ -219,6 +221,9 @@ pub struct OptimizeIdsConfig {
     /// [`Parallelism::from_env`] — `CARTA_JOBS` or all hardware
     /// threads). Parallelism never changes the per-seed result.
     pub parallelism: Parallelism,
+    /// Where the run reports: the GA's evaluator and the `optim.*`
+    /// metrics and `optim.run` span (default: nowhere).
+    pub obs: Obs,
 }
 
 impl Default for OptimizeIdsConfig {
@@ -229,6 +234,7 @@ impl Default for OptimizeIdsConfig {
             eval_ratios: vec![0.25, 0.40, 0.60],
             weights: vec![1000.0, 100.0, 150.0, 1.0],
             parallelism: Parallelism::from_env(),
+            obs: Obs::default(),
         }
     }
 }
@@ -250,6 +256,27 @@ pub struct IdOptimizationResult {
     pub cache: CacheStats,
 }
 
+/// Records a finished run: generations, evaluations after the initial
+/// population, one `optim.evals_per_gen` sample per generation, and the
+/// size and spread of the final archive.
+fn record_run(registry: &MetricsRegistry, result: &Spea2Result<Permutation>, population: usize) {
+    let generations = result.generations as u64;
+    registry.counter("optim.generations").add(generations);
+    registry
+        .counter("optim.evaluations")
+        .add(result.evaluations.saturating_sub(population) as u64);
+    let per_gen = registry.histogram("optim.evals_per_gen");
+    for _ in 0..generations {
+        per_gen.record(population as u64);
+    }
+    registry
+        .gauge("optim.archive_size")
+        .set(result.archive.len() as f64);
+    registry
+        .gauge("optim.archive_spread")
+        .set(archive_spread(&result.archive));
+}
+
 /// Runs the SPEA2 identifier optimization.
 ///
 /// # Panics
@@ -264,8 +291,22 @@ pub fn optimize_can_ids(net: &CanNetwork, config: &OptimizeIdsConfig) -> IdOptim
         "one weight per loss ratio plus one for robustness"
     );
     let problem = CanIdProblem::new(net, config.scenario.clone(), config.eval_ratios.clone())
-        .with_evaluator(Evaluator::builder().parallelism(config.parallelism).build());
+        .with_evaluator(
+            Evaluator::builder()
+                .parallelism(config.parallelism)
+                .obs(config.obs.clone())
+                .build(),
+        );
+    let _span = span!(
+        config.obs,
+        "optim.run",
+        population = config.spea2.population,
+        generations = config.spea2.generations
+    );
     let result = optimize(&problem, &config.spea2);
+    if let Some(registry) = config.obs.registry() {
+        record_run(registry, &result, config.spea2.population);
+    }
     // Selection is lexicographic in the first objective (loss at the
     // design point — the paper's non-negotiable "not a single message"
     // criterion), then weighted over the remaining objectives.
@@ -427,6 +468,36 @@ mod tests {
         let b = optimize_can_ids(&net, &quick_config());
         assert_eq!(a.permutation, b.permutation);
         assert_eq!(a.objectives, b.objectives);
+    }
+
+    #[test]
+    fn generation_metrics_accumulate_when_enabled() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let config = OptimizeIdsConfig {
+            obs: Obs::new(Some(registry.clone()), None),
+            ..quick_config()
+        };
+        let result = optimize_can_ids(&inverted_net(), &config);
+        let snap = registry.snapshot();
+        let (population, generations) = (config.spea2.population, config.spea2.generations);
+        assert_eq!(snap.counter("optim.generations"), Some(generations as u64));
+        // Per-generation evaluations exclude the initial population.
+        assert_eq!(
+            snap.counter("optim.evaluations"),
+            Some((result.archive.evaluations - population) as u64)
+        );
+        let per_gen = snap.histogram("optim.evals_per_gen").expect("present");
+        assert_eq!(per_gen.count, generations as u64);
+        assert_eq!(
+            (per_gen.min, per_gen.max),
+            (population as u64, population as u64)
+        );
+        assert!(snap.gauge("optim.archive_size").expect("present") >= 1.0);
+        // The GA's evaluator reports to the same observer.
+        assert_eq!(
+            snap.counter("engine.cache.misses"),
+            Some(result.cache.misses)
+        );
     }
 
     #[test]

@@ -18,39 +18,13 @@
 //!
 //! All objectives are **minimized**.
 
-use carta_obs::metrics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Records per-generation observability: counters
-/// `optim.generations` / `optim.evaluations`, gauges
-/// `optim.archive_size` / `optim.archive_spread` and the
-/// `optim.evals_per_gen` histogram. The spread gauge is a cheap
-/// hypervolume proxy: the mean per-objective extent of the archive's
-/// bounding box — it grows as the front widens and collapses when the
-/// archive degenerates to a point.
-fn record_generation<G>(archive: &[Individual<G>], evals_this_gen: usize) {
-    if !metrics::enabled() {
-        return;
-    }
-    let registry = metrics::global();
-    registry.counter("optim.generations").inc();
-    registry
-        .counter("optim.evaluations")
-        .add(evals_this_gen as u64);
-    registry
-        .histogram("optim.evals_per_gen")
-        .record(evals_this_gen as u64);
-    registry
-        .gauge("optim.archive_size")
-        .set(archive.len() as f64);
-    registry
-        .gauge("optim.archive_spread")
-        .set(archive_spread(archive));
-}
-
-/// Mean per-objective extent (max − min) over the archive.
-fn archive_spread<G>(archive: &[Individual<G>]) -> f64 {
+/// Mean per-objective extent (max − min) over the archive: a cheap
+/// hypervolume proxy that grows as the front widens and collapses when
+/// the archive degenerates to a point.
+pub(crate) fn archive_spread<G>(archive: &[Individual<G>]) -> f64 {
     let Some(first) = archive.first() else {
         return 0.0;
     };
@@ -255,8 +229,7 @@ pub fn optimize<P: Problem>(problem: &P, config: &Spea2Config) -> Spea2Result<P:
     let mut population = eval_batch(genomes, &mut evaluations);
 
     let mut archive: Vec<Individual<P::Genome>> = Vec::new();
-    for generation in 0..config.generations {
-        let _span = carta_obs::span!("optim.generation", gen = generation);
+    for _ in 0..config.generations {
         // Fitness over the combined set.
         let mut combined: Vec<Individual<P::Genome>> = Vec::new();
         combined.append(&mut population);
@@ -278,9 +251,7 @@ pub fn optimize<P: Problem>(problem: &P, config: &Spea2Config) -> Spea2Result<P:
                 child
             })
             .collect();
-        let before = evaluations;
         population = eval_batch(offspring, &mut evaluations);
-        record_generation(&archive, evaluations - before);
     }
 
     // Final fitness assignment on the last archive for reporting order.
@@ -543,28 +514,6 @@ mod tests {
         let best = result.best_weighted(&[1.0]);
         assert!(best.objectives[0] < 1.0, "seeded optimum must survive");
         assert!(best.fitness() < 1.0);
-    }
-
-    #[test]
-    fn generation_metrics_accumulate_when_enabled() {
-        let was = metrics::enabled();
-        metrics::set_enabled(true);
-        let registry = metrics::global();
-        let gens_before = registry.counter("optim.generations").get();
-        let evals_before = registry.counter("optim.evaluations").get();
-        let config = Spea2Config {
-            generations: 4,
-            ..Spea2Config::default()
-        };
-        let result = optimize(&TwoHumps, &config);
-        assert_eq!(registry.counter("optim.generations").get(), gens_before + 4);
-        // Per-generation evaluations exclude the initial population.
-        assert_eq!(
-            registry.counter("optim.evaluations").get(),
-            evals_before + (result.evaluations - config.population) as u64
-        );
-        assert!(registry.gauge("optim.archive_size").get() >= 1.0);
-        metrics::set_enabled(was);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   partial report — mirroring on the service level what the
 //!   degraded-mode RTA does on the bus level,
 //! * `GET /v1/metrics` in the same `carta.metrics.v1` document the
-//!   CLI's `--metrics-json` writes, extended with the `server.*`
-//!   counters,
+//!   CLI's `--metrics-json` writes: the server's own registry since
+//!   bind, with the `server.*` counters,
 //! * production lifecycle hardening ([`server`], [`state`]): graceful
 //!   drain on SIGTERM/`stop()` with cooperative cancellation of
 //!   in-flight work, per-request `deadline_ms` budgets, bearer-token

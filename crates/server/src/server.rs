@@ -10,8 +10,11 @@
 //!   (tenant from the bearer token when auth is configured, else the
 //!   `x-carta-tenant` header, default `public`); an optional
 //!   top-level `deadline_ms` bounds the evaluation cooperatively,
-//! * `GET /v1/metrics` — the `carta.metrics.v1` document since server
-//!   start, including the `server.*` counters.
+//! * `GET /v1/metrics` — the `carta.metrics.v1` document of this
+//!   server's own registry since bind: the `server.*` counters (state
+//!   log replay included) and the tenant evaluators' `engine.*`,
+//!   `rta.*`, `sweep.*` and `phase.*` numbers. Another server in the
+//!   same process never shows up in it.
 //!
 //! Failure policy: an analysis outcome is **never** a 500. Divergence
 //! comes back as a degraded 200 report, model and request problems as
@@ -40,7 +43,7 @@ use carta_api::wire;
 use carta_can::rta::{analyze_bus, AnalysisConfig};
 use carta_engine::prelude::CancelToken;
 use carta_obs::json::ObjectBuilder;
-use carta_obs::metrics::{self, MetricsSnapshot};
+use carta_obs::metrics::MetricsRegistry;
 use carta_obs::report::{metrics_json, Derived};
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -92,7 +95,9 @@ struct Shared {
     config: ServerConfig,
     pool: TenantPool,
     started: Instant,
-    baseline: MetricsSnapshot,
+    /// Everything `/v1/metrics` reports; the tenant evaluators record
+    /// into it too.
+    metrics: Arc<MetricsRegistry>,
     shutdown: AtomicBool,
     /// Set once the drain begins: stop serving *new* requests.
     draining: AtomicBool,
@@ -123,20 +128,19 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listen socket, switches the global metrics registry
-    /// on (the `/v1/metrics` endpoint reports deltas against the
-    /// snapshot taken here), and — when `state_dir` is configured —
-    /// replays the session log so every previously acked upload
-    /// resolves again.
+    /// Binds the listen socket, creates the server's metrics registry
+    /// (what `/v1/metrics` reports), and — when `state_dir` is
+    /// configured — replays the session log so every previously acked
+    /// upload resolves again, counting the replay in that registry.
     ///
     /// # Errors
     ///
     /// Propagates the bind failure and state-log I/O errors (a server
     /// that cannot honor its durability contract must not come up).
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
-        metrics::set_enabled(true);
         let listener = TcpListener::bind(&config.addr)?;
-        let pool = TenantPool::new(config.clone());
+        let metrics = Arc::new(MetricsRegistry::new());
+        let pool = TenantPool::new(config.clone(), Arc::clone(&metrics));
         let state = match &config.state_dir {
             None => None,
             Some(dir) => {
@@ -144,10 +148,8 @@ impl Server {
                 for record in records {
                     pool.restore_session(&record.tenant, &record.id, record.csv);
                 }
-                metrics::global()
-                    .counter("server.state.replayed")
-                    .add(stats.replayed);
-                metrics::global()
+                metrics.counter("server.state.replayed").add(stats.replayed);
+                metrics
                     .counter("server.state.truncated_bytes")
                     .add(stats.truncated_bytes);
                 Some(Mutex::new(log))
@@ -157,7 +159,7 @@ impl Server {
             pool,
             config,
             started: Instant::now(),
-            baseline: metrics::global().snapshot(),
+            metrics,
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             inflight: AtomicU64::new(0),
@@ -234,7 +236,8 @@ impl Server {
         }
         let stragglers = self.shared.inflight.load(Ordering::SeqCst);
         if stragglers > 0 {
-            metrics::global()
+            self.shared
+                .metrics
                 .counter("server.drain.cancelled")
                 .add(stragglers);
             self.shared.drain.cancel();
@@ -243,7 +246,7 @@ impl Server {
         for worker in workers {
             let _ = worker.join();
         }
-        metrics::global().counter("server.drain.completed").inc();
+        self.shared.metrics.counter("server.drain.completed").inc();
         Ok(())
     }
 
@@ -318,7 +321,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         let (reply, keep_alive) = match http::read_request(&mut reader, shared.config.max_body) {
             Ok(req) => {
                 if served > 0 {
-                    metrics::global().counter("server.keepalive.reused").inc();
+                    shared.metrics.counter("server.keepalive.reused").inc();
                 }
                 if shared.draining() {
                     // The drain contract: connections opened before the
@@ -345,7 +348,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             // then close — the connection's byte stream can no longer
             // be trusted for another request.
             Err(err @ HttpError::Malformed(_)) => {
-                metrics::global().counter("server.requests.malformed").inc();
+                shared.metrics.counter("server.requests.malformed").inc();
                 (error_reply(&ApiError::request(err.to_string())), false)
             }
         };
@@ -386,7 +389,7 @@ fn unavailable_reply() -> Reply {
 fn dispatch(shared: &Shared, req: &HttpRequest) -> Reply {
     shared.inflight.fetch_add(1, Ordering::SeqCst);
     let reply = catch_unwind(AssertUnwindSafe(|| route(shared, req))).unwrap_or_else(|_| {
-        metrics::global().counter("server.requests.panicked").inc();
+        shared.metrics.counter("server.requests.panicked").inc();
         error_reply(&ApiError::internal(
             "request handling panicked; the server is still up",
         ))
@@ -446,7 +449,7 @@ fn error_reply(err: &ApiError) -> Reply {
 /// `401 auth.required` for a missing/non-bearer/unknown credential.
 fn bearer_tenant<'a>(shared: &'a Shared, req: &HttpRequest) -> Result<&'a str, ApiError> {
     let denied = |message: String| {
-        metrics::global().counter("server.auth.denied").inc();
+        shared.metrics.counter("server.auth.denied").inc();
         ApiError::new(ErrorCode::Unauthenticated, message)
     };
     let Some(auth) = req.header("authorization") else {
@@ -479,7 +482,7 @@ fn api_tenant(shared: &Shared, req: &HttpRequest) -> Result<String, ApiError> {
     let tenant = bearer_tenant(shared, req)?;
     if let Some(claimed) = req.header("x-carta-tenant") {
         if claimed != tenant {
-            metrics::global().counter("server.auth.denied").inc();
+            shared.metrics.counter("server.auth.denied").inc();
             return Err(ApiError::new(
                 ErrorCode::Forbidden,
                 format!("token is not authorized for tenant `{claimed}`"),
@@ -494,7 +497,7 @@ fn handle_upload(shared: &Shared, tenant: &str, req: &HttpRequest) -> Reply {
         match bearer_tenant(shared, req) {
             Err(err) => return error_reply(&err),
             Ok(authorized) if authorized != tenant => {
-                metrics::global().counter("server.auth.denied").inc();
+                shared.metrics.counter("server.auth.denied").inc();
                 return error_reply(&ApiError::new(
                     ErrorCode::Forbidden,
                     format!("token is not authorized for tenant `{tenant}`"),
@@ -532,16 +535,14 @@ fn handle_upload(shared: &Shared, tenant: &str, req: &HttpRequest) -> Reply {
             log.append(&record)
         };
         if let Err(e) = appended {
-            metrics::global()
-                .counter("server.state.append_failed")
-                .inc();
+            shared.metrics.counter("server.state.append_failed").inc();
             return error_reply(&ApiError::internal(format!(
                 "session could not be persisted: {e}; upload not acknowledged"
             )));
         }
-        metrics::global().counter("server.state.appended").inc();
+        shared.metrics.counter("server.state.appended").inc();
     }
-    metrics::global().counter("server.sessions.uploaded").inc();
+    shared.metrics.counter("server.sessions.uploaded").inc();
     let result = ObjectBuilder::new()
         .string("id", &id)
         .string("tenant", tenant)
@@ -581,10 +582,10 @@ fn handle_api(shared: &Shared, req: &HttpRequest) -> Reply {
     let (handler, admission) = shared.pool.checkout(&tenant);
     let handler = handler.scoped_cancel(cancel);
     let reply = match admission {
-        Admission::Granted => serve(&handler, &request),
+        Admission::Granted => serve(shared, &handler, &request),
         Admission::Pressure { retry_after_ms } if request.is_heavy() => {
-            metrics::global().counter("server.requests.shed").inc();
-            metrics::global().counter("server.retry_after_hints").inc();
+            shared.metrics.counter("server.requests.shed").inc();
+            shared.metrics.counter("server.retry_after_hints").inc();
             let mut reply = error_reply(&ApiError::new(
                 ErrorCode::AdmissionShed,
                 format!(
@@ -610,13 +611,13 @@ fn handle_api(shared: &Shared, req: &HttpRequest) -> Reply {
             // marked degraded. A flooding tenant gets an honest
             // partial answer, never a 500 and never a free full run.
             Request::Analyze { model, scenario } => {
-                metrics::global().counter("server.requests.degraded").inc();
+                shared.metrics.counter("server.requests.degraded").inc();
                 match degraded_analyze(model, *scenario, shared.config.degraded_iterations) {
                     Ok(resp) => Reply::new(200, wire::encode_response(&resp)),
                     Err(err) => error_reply(&err),
                 }
             }
-            _ => serve(&handler, &request),
+            _ => serve(shared, &handler, &request),
         },
     };
     remap_cancellation(shared, reply)
@@ -642,7 +643,8 @@ fn remap_cancellation(shared: &Shared, reply: Reply) -> Reply {
             "evaluation cancelled by server drain; retry against another instance",
         ));
     }
-    metrics::global()
+    shared
+        .metrics
         .counter("server.requests.deadline_exceeded")
         .inc();
     error_reply(&ApiError::new(
@@ -654,8 +656,8 @@ fn remap_cancellation(shared: &Shared, reply: Reply) -> Reply {
     ))
 }
 
-fn serve(handler: &Handler, request: &Request) -> Reply {
-    metrics::global().counter("server.requests.accepted").inc();
+fn serve(shared: &Shared, handler: &Handler, request: &Request) -> Reply {
+    shared.metrics.counter("server.requests.accepted").inc();
     match handler.handle(request) {
         Ok(resp) => Reply::new(200, wire::encode_response(&resp)),
         Err(err) => error_reply(&err),
@@ -687,9 +689,9 @@ fn degraded_analyze(
 
 fn metrics_document(shared: &Shared) -> String {
     let wall_s = shared.started.elapsed().as_secs_f64();
-    let delta = metrics::global().snapshot().delta(&shared.baseline);
-    let derived = Derived::from_delta(&delta, wall_s);
-    metrics_json("server", wall_s, &delta, &derived)
+    let snapshot = shared.metrics.snapshot();
+    let derived = Derived::from_delta(&snapshot, wall_s);
+    metrics_json("server", wall_s, &snapshot, &derived)
 }
 
 #[cfg(test)]
@@ -698,13 +700,12 @@ mod tests {
     use carta_api::prelude::ScenarioSpec;
 
     fn shared_with(config: ServerConfig) -> Shared {
+        let metrics = Arc::new(MetricsRegistry::new());
         Shared {
-            pool: TenantPool::new(config.clone()),
+            pool: TenantPool::new(config.clone(), Arc::clone(&metrics)),
             config,
             started: Instant::now(),
-            baseline: MetricsSnapshot {
-                values: Default::default(),
-            },
+            metrics,
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             inflight: AtomicU64::new(0),

@@ -11,12 +11,13 @@
 //! exactly the "per-tenant cache eviction" the
 //! `server.tenants.evicted` counter records. One misbehaving tenant
 //! can therefore exhaust neither memory (quotas) nor compute
-//! (admission window) for the others.
+//! (admission window) for the others. Every tenant evaluator records
+//! into the one registry of the server that owns the pool.
 
 use crate::config::ServerConfig;
 use carta_api::prelude::{ApiError, Handler};
 use carta_engine::prelude::{Evaluator, Parallelism};
-use carta_obs::metrics;
+use carta_obs::metrics::MetricsRegistry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -47,10 +48,16 @@ struct TenantState {
 }
 
 impl TenantState {
-    fn new(config: &ServerConfig, now: Instant, clock: u64) -> Self {
+    fn new(
+        config: &ServerConfig,
+        metrics: &Arc<MetricsRegistry>,
+        now: Instant,
+        clock: u64,
+    ) -> Self {
         let evaluator = Evaluator::builder()
             .parallelism(Parallelism::new(config.jobs))
             .cache_capacity(config.cache_quota)
+            .metrics(metrics)
             .build();
         TenantState {
             handler: Handler::with_evaluator(Arc::new(evaluator), Parallelism::new(config.jobs)),
@@ -73,14 +80,16 @@ struct Inner {
 #[derive(Debug)]
 pub struct TenantPool {
     config: ServerConfig,
+    metrics: Arc<MetricsRegistry>,
     inner: Mutex<Inner>,
 }
 
 impl TenantPool {
-    /// An empty pool with the given knobs.
-    pub fn new(config: ServerConfig) -> Self {
+    /// An empty pool with the given knobs, recording into `metrics`.
+    pub fn new(config: ServerConfig, metrics: Arc<MetricsRegistry>) -> Self {
         TenantPool {
             config,
+            metrics,
             inner: Mutex::new(Inner {
                 tenants: HashMap::new(),
                 clock: 0,
@@ -117,7 +126,7 @@ impl TenantPool {
     pub fn checkout(&self, tenant: &str) -> (Handler, Admission) {
         let now = Instant::now();
         let mut inner = self.locked();
-        let state = Self::touch(&mut inner, &self.config, tenant, now);
+        let state = self.touch(&mut inner, tenant, now);
         if now.duration_since(state.window_start) >= Duration::from_millis(self.config.window_ms) {
             state.window_start = now;
             state.spent = 0;
@@ -145,7 +154,7 @@ impl TenantPool {
     pub fn put_session(&self, tenant: &str, csv: String) -> String {
         let now = Instant::now();
         let mut inner = self.locked();
-        let state = Self::touch(&mut inner, &self.config, tenant, now);
+        let state = self.touch(&mut inner, tenant, now);
         let id = format!("s{}", state.next_session);
         state.next_session += 1;
         state.sessions.push((id.clone(), Arc::new(csv)));
@@ -156,9 +165,7 @@ impl TenantPool {
         }
         drop(inner);
         if evicted > 0 {
-            metrics::global()
-                .counter("server.sessions.evicted")
-                .add(evicted);
+            self.metrics.counter("server.sessions.evicted").add(evicted);
         }
         self.evict_over_limit();
         id
@@ -171,7 +178,7 @@ impl TenantPool {
     pub fn restore_session(&self, tenant: &str, id: &str, csv: String) {
         let now = Instant::now();
         let mut inner = self.locked();
-        let state = Self::touch(&mut inner, &self.config, tenant, now);
+        let state = self.touch(&mut inner, tenant, now);
         if let Some(slot) = state.sessions.iter_mut().find(|(sid, _)| sid == id) {
             slot.1 = Arc::new(csv);
         } else {
@@ -212,18 +219,13 @@ impl TenantPool {
         }
     }
 
-    fn touch<'a>(
-        inner: &'a mut Inner,
-        config: &ServerConfig,
-        tenant: &str,
-        now: Instant,
-    ) -> &'a mut TenantState {
+    fn touch<'a>(&self, inner: &'a mut Inner, tenant: &str, now: Instant) -> &'a mut TenantState {
         inner.clock += 1;
         let clock = inner.clock;
         let state = inner
             .tenants
             .entry(tenant.to_string())
-            .or_insert_with(|| TenantState::new(config, now, clock));
+            .or_insert_with(|| TenantState::new(&self.config, &self.metrics, now, clock));
         state.last_used = clock;
         state
     }
@@ -248,9 +250,7 @@ impl TenantPool {
             }
         }
         if evicted > 0 {
-            metrics::global()
-                .counter("server.tenants.evicted")
-                .add(evicted);
+            self.metrics.counter("server.tenants.evicted").add(evicted);
         }
     }
 }
@@ -260,13 +260,16 @@ mod tests {
     use super::*;
 
     fn pool(budget: u32, max_tenants: usize, max_sessions: usize) -> TenantPool {
-        TenantPool::new(ServerConfig {
-            budget,
-            max_tenants,
-            max_sessions,
-            window_ms: 60_000,
-            ..ServerConfig::default()
-        })
+        TenantPool::new(
+            ServerConfig {
+                budget,
+                max_tenants,
+                max_sessions,
+                window_ms: 60_000,
+                ..ServerConfig::default()
+            },
+            Arc::new(MetricsRegistry::new()),
+        )
     }
 
     #[test]

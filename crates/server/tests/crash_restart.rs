@@ -146,16 +146,36 @@ fn acked_sessions_survive_sigkill_and_torn_tails_are_truncated() {
     server.kill_hard();
     let log_path = state_dir.join("sessions.jsonl");
     let committed_len = std::fs::metadata(&log_path).expect("log exists").len();
+    let torn = br#"{"v":"carta.state.v1","tenant":"oem","id":"s4","csv":"never-ack"#;
     let mut log = std::fs::OpenOptions::new()
         .append(true)
         .open(&log_path)
         .expect("opens log");
-    log.write_all(br#"{"v":"carta.state.v1","tenant":"oem","id":"s4","csv":"never-ack"#)
-        .expect("tears the tail");
+    log.write_all(torn).expect("tears the tail");
     drop(log);
 
     // Restart on the same state dir.
     let server = ServerProc::launch(&state_dir);
+
+    // The restarted server counts its own replay in `/v1/metrics`.
+    let (status, body) = server.request("GET", "/v1/metrics", None, "");
+    assert_eq!(status, 200, "{body}");
+    let doc = carta_obs::json::parse(&body).expect("metrics document");
+    let counter = |name: &str| {
+        doc.get("metrics")
+            .and_then(|m| m.get(name))
+            .and_then(carta_obs::json::Value::as_f64)
+    };
+    assert_eq!(
+        counter("server.state.replayed"),
+        Some(acked.len() as f64),
+        "{body}"
+    );
+    assert_eq!(
+        counter("server.state.truncated_bytes"),
+        Some(torn.len() as f64),
+        "{body}"
+    );
 
     // Every acked session resolves, and its analysis is bit-identical
     // on the wire to the pre-crash run.

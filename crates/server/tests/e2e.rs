@@ -164,6 +164,9 @@ fn flooding_tenant_degrades_and_sheds_while_the_other_tenant_is_untouched() {
     // Budget 2: the third and later requests of a window are pressure.
     let server = start(2);
     let addr = server.addr();
+    // A second server in the same process that never sees a request:
+    // its metrics must stay its own.
+    let idle = start(2);
 
     // The "supplier" tenant uploads a flooded matrix: the appended row
     // is the same unschedulable lowest-priority probe
@@ -269,27 +272,39 @@ fn flooding_tenant_degrades_and_sheds_while_the_other_tenant_is_untouched() {
     assert_eq!(oem_report, direct);
 
     // The process survived all of it: metrics and health still serve,
-    // and the counters saw the shed and the degradation.
-    let (status, body) = http(addr, "GET", "/v1/metrics", None, "");
+    // and the counters saw exactly the traffic above — the three
+    // served analyses, the shed loss, the degraded analyze and the two
+    // uploads.
+    let (body, metric) = metrics_of(addr);
+    assert_eq!(metric("server.requests.accepted"), 3.0, "{body}");
+    assert_eq!(metric("server.requests.shed"), 1.0, "{body}");
+    assert_eq!(metric("server.requests.degraded"), 1.0, "{body}");
+    assert_eq!(metric("server.sessions.uploaded"), 2.0, "{body}");
+    let (status, _) = http(addr, "GET", "/v1/healthz", None, "");
     assert_eq!(status, 200);
+    let (body, metric) = metrics_of(idle.addr());
+    assert_eq!(metric("server.requests.accepted"), 0.0, "{body}");
+    idle.stop();
+    server.stop();
+}
+
+/// `GET /v1/metrics`: the body, and a lookup of its counters (0 when
+/// absent).
+fn metrics_of(addr: SocketAddr) -> (String, impl Fn(&str) -> f64) {
+    let (status, body) = http(addr, "GET", "/v1/metrics", None, "");
+    assert_eq!(status, 200, "{body}");
     let doc = json::parse(&body).expect("valid metrics document");
     assert_eq!(
         doc.get("schema").and_then(Value::as_str),
         Some("carta.metrics.v1")
     );
-    let metric = |name: &str| {
+    let metric = move |name: &str| {
         doc.get("metrics")
             .and_then(|m| m.get(name))
             .and_then(Value::as_f64)
             .unwrap_or(0.0)
     };
-    assert!(metric("server.requests.accepted") >= 3.0, "{body}");
-    assert!(metric("server.requests.shed") >= 1.0, "{body}");
-    assert!(metric("server.requests.degraded") >= 1.0, "{body}");
-    assert!(metric("server.sessions.uploaded") >= 2.0, "{body}");
-    let (status, _) = http(addr, "GET", "/v1/healthz", None, "");
-    assert_eq!(status, 200);
-    server.stop();
+    (body, metric)
 }
 
 #[test]

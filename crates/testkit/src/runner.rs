@@ -4,8 +4,8 @@
 //! (seed-derived, alternating homogeneous and mixed-controller shapes,
 //! cycling through error models), checks the law on each, and on the
 //! first violation shrinks the case and stops that law with a
-//! replayable [`Repro`]. Progress is reported through `carta-obs`
-//! `fuzz.*` counters when metrics are enabled.
+//! replayable [`Repro`]. A finished run is counted in `fuzz.*`
+//! counters in the registry of [`FuzzConfig::obs`], if it has one.
 
 use crate::gen::{random_network, NetShape};
 use crate::laws::{all_laws, law_by_name, law_names, Law, LawCase};
@@ -14,11 +14,10 @@ use crate::repro::Repro;
 use carta_can::backend::BackendConfig;
 use carta_core::time::Time;
 use carta_engine::prelude::{ErrorSpec, Evaluator, Parallelism};
-use carta_obs::metrics::{self, Counter};
+use carta_obs::Obs;
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
 
 /// Configuration of one fuzz run.
 #[derive(Debug, Clone)]
@@ -36,6 +35,10 @@ pub struct FuzzConfig {
     /// payloads to the full FD step table (see
     /// [`NetShape::with_backend`]).
     pub backend: BackendConfig,
+    /// Where the run reports: the evaluator under test and the `fuzz.*`
+    /// counters (default: nowhere). The laws' own reference checks
+    /// report nowhere.
+    pub obs: Obs,
 }
 
 impl Default for FuzzConfig {
@@ -46,6 +49,7 @@ impl Default for FuzzConfig {
             laws: None,
             parallelism: Parallelism::from_env(),
             backend: BackendConfig::Can,
+            obs: Obs::default(),
         }
     }
 }
@@ -102,26 +106,6 @@ impl fmt::Display for UnknownLawError {
 
 impl std::error::Error for UnknownLawError {}
 
-struct FuzzMetrics {
-    laws: Arc<Counter>,
-    cases: Arc<Counter>,
-    violations: Arc<Counter>,
-    shrink_steps: Arc<Counter>,
-}
-
-fn fuzz_metrics() -> &'static FuzzMetrics {
-    static HANDLES: OnceLock<FuzzMetrics> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let registry = metrics::global();
-        FuzzMetrics {
-            laws: registry.counter("fuzz.laws"),
-            cases: registry.counter("fuzz.cases"),
-            violations: registry.counter("fuzz.violations"),
-            shrink_steps: registry.counter("fuzz.shrink_steps"),
-        }
-    })
-}
-
 /// The error model of case `case` (cycled so every law sees error-free,
 /// calm and stormy sporadic conditions).
 fn case_errors(case: u64) -> ErrorSpec {
@@ -160,12 +144,12 @@ pub fn run_fuzz(config: &FuzzConfig) -> Result<FuzzReport, UnknownLawError> {
             .map(|n| law_by_name(n).ok_or_else(|| UnknownLawError { name: n.clone() }))
             .collect::<Result<_, _>>()?,
     };
-    let eval = Evaluator::new(config.parallelism);
+    let eval = Evaluator::builder()
+        .parallelism(config.parallelism)
+        .obs(config.obs.clone())
+        .build();
     let mut outcomes = Vec::with_capacity(laws.len());
     for law in &laws {
-        if metrics::enabled() {
-            fuzz_metrics().laws.inc();
-        }
         let mut cases_run = 0;
         let mut repro = None;
         for case in 0..config.cases {
@@ -185,17 +169,10 @@ pub fn run_fuzz(config: &FuzzConfig) -> Result<FuzzReport, UnknownLawError> {
             let errors = case_errors(case);
             let net = random_network(&shape, seed);
             cases_run += 1;
-            if metrics::enabled() {
-                fuzz_metrics().cases.inc();
-            }
             if let Err(violation) = law.check(&net, &LawCase { seed, errors }, &eval) {
                 let shrunk = shrink_case(&net, errors, violation, |n, e| {
                     law.check(n, &LawCase { seed, errors: e }, &eval).err()
                 });
-                if metrics::enabled() {
-                    fuzz_metrics().violations.inc();
-                    fuzz_metrics().shrink_steps.add(shrunk.steps);
-                }
                 repro = Some(Repro {
                     law: law.name().to_string(),
                     seed,
@@ -212,6 +189,18 @@ pub fn run_fuzz(config: &FuzzConfig) -> Result<FuzzReport, UnknownLawError> {
             cases_run,
             repro,
         });
+    }
+    if let Some(registry) = config.obs.registry() {
+        let repros = outcomes.iter().filter_map(|o| o.repro.as_ref());
+        let cases = outcomes.iter().map(|o| o.cases_run).sum();
+        registry.counter("fuzz.laws").add(outcomes.len() as u64);
+        registry.counter("fuzz.cases").add(cases);
+        registry
+            .counter("fuzz.violations")
+            .add(repros.clone().count() as u64);
+        registry
+            .counter("fuzz.shrink_steps")
+            .add(repros.map(|r| r.shrink_steps).sum());
     }
     Ok(FuzzReport {
         seed: config.seed,
@@ -231,6 +220,7 @@ mod tests {
             laws: None,
             parallelism: Parallelism::sequential(),
             backend: BackendConfig::Can,
+            ..FuzzConfig::default()
         })
         .expect("catalogue names are valid");
         assert!(report.passed(), "violations: {:?}", report.outcomes);
@@ -247,6 +237,7 @@ mod tests {
             laws: None,
             parallelism: Parallelism::sequential(),
             backend: BackendConfig::can_fd(),
+            ..FuzzConfig::default()
         })
         .expect("catalogue names are valid");
         assert!(report.passed(), "violations: {:?}", report.outcomes);
@@ -261,6 +252,7 @@ mod tests {
             laws: Some(vec!["load-schedulability".into()]),
             parallelism: Parallelism::sequential(),
             backend: BackendConfig::Can,
+            ..FuzzConfig::default()
         })
         .expect("known law");
         assert_eq!(report.outcomes.len(), 1);

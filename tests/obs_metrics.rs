@@ -4,8 +4,9 @@
 //! single analysis result.
 
 use carta::prelude::*;
-use carta_obs::metrics::{self, MetricsRegistry};
+use carta_obs::metrics::MetricsRegistry;
 use carta_obs::trace::{NullSink, RingBufferSink, SpanKind};
+use carta_obs::Obs;
 use carta_testkit::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -49,32 +50,20 @@ fn explicit_registry_matches_evaluator_cache_stats() {
 }
 
 /// Every span a single-threaded analysis opens must close, in LIFO
-/// order, on the thread that opened it.
+/// order. The sink belongs to this test's evaluator alone, so work in
+/// concurrent tests cannot reach it.
 #[test]
 fn spans_nest_and_balance() {
     let sink = Arc::new(RingBufferSink::new(4096));
-    carta_obs::trace::install(sink.clone());
-    // Events are tagged with the emitting thread's id; the probe
-    // reports its own so we can single it out below.
-    let probe_thread = std::thread::spawn(|| {
-        let eval = Evaluator::builder().jobs(1).build();
-        let net = net_for(5);
-        eval.loss_vs_jitter(&net, &Scenario::worst_case(), &[0.0, 0.2, 0.4])
-            .expect("valid model");
-        format!("{:?}", std::thread::current().id())
-    })
-    .join()
-    .expect("probe thread succeeds");
-    carta_obs::trace::uninstall();
+    let eval = Evaluator::builder()
+        .jobs(1)
+        .obs(Obs::new(None, Some(sink.clone())))
+        .build();
+    eval.loss_vs_jitter(&net_for(5), &Scenario::worst_case(), &[0.0, 0.2, 0.4])
+        .expect("valid model");
 
-    // Other tests may run traced work concurrently; judge only the
-    // probe thread, which ran strictly single-threaded.
-    let events: Vec<_> = sink
-        .drain()
-        .into_iter()
-        .filter(|e| e.thread == probe_thread)
-        .collect();
-    assert!(!events.is_empty(), "probe thread emitted no spans");
+    let events = sink.drain();
+    assert!(!events.is_empty(), "the analysis emitted no spans");
     let mut stack: Vec<&'static str> = Vec::new();
     for event in &events {
         match event.kind {
@@ -103,9 +92,9 @@ fn spans_nest_and_balance() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Turning the whole observability stack on — global metrics, an
-    // explicit registry *and* a null span sink — must leave every
-    // response bound bit-identical to a bare run.
+    // Turning the whole observability stack on — a registry *and* a
+    // null span sink — must leave every response bound bit-identical
+    // to a bare run.
     #[test]
     fn instrumentation_never_changes_results(seed in 0u64..5_000, pick in 0u8..4) {
         let net = net_for(seed);
@@ -120,17 +109,12 @@ proptest! {
         let bare = Evaluator::builder().jobs(1).build();
         let plain: Vec<_> = bare.evaluate_batch(&variants);
 
-        let was_enabled = metrics::enabled();
-        metrics::set_enabled(true);
-        carta_obs::trace::install(Arc::new(NullSink));
         let registry = Arc::new(MetricsRegistry::new());
         let observed = Evaluator::builder()
             .jobs(2)
-            .metrics(&registry)
+            .obs(Obs::new(Some(registry.clone()), Some(Arc::new(NullSink))))
             .build()
             .evaluate_batch(&variants);
-        carta_obs::trace::uninstall();
-        metrics::set_enabled(was_enabled);
 
         for (i, (p, o)) in plain.iter().zip(&observed).enumerate() {
             let (p, o) = (p.as_ref().expect("valid"), o.as_ref().expect("valid"));
