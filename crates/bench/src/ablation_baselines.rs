@@ -6,7 +6,7 @@
 //! * **SPEA2** — the paper's multi-objective search, which also trades
 //!   off high-jitter loss and robustness.
 
-use carta_bench::{case_study, print_jitter_header, print_loss_curve};
+use crate::{case_study, write_jitter_header, write_loss_curve, Record};
 use carta_can::opa::audsley_assignment;
 use carta_engine::prelude::Evaluator;
 use carta_explore::jitter::with_jitter_ratio;
@@ -15,9 +15,14 @@ use carta_explore::scenario::Scenario;
 use carta_explore::sweeps::Sweeps;
 use carta_optim::canid::{optimize_can_ids, CanIdProblem, OptimizeIdsConfig};
 use carta_optim::spea2::Spea2Config;
+use std::fmt::{self, Write};
 
-fn main() {
-    println!("=== A3: identifier-assignment baselines (worst-case scenario) ===\n");
+/// Writes the A3 section.
+pub(crate) fn run(out: &mut Record) -> fmt::Result {
+    writeln!(
+        out,
+        "=== A3: identifier-assignment baselines (worst-case scenario) ===\n"
+    )?;
     let net = case_study();
     let grid = paper_jitter_grid();
     let scenario = Scenario::worst_case();
@@ -35,14 +40,15 @@ fn main() {
     )
     .expect("valid network");
     let opa_net = opa.as_ref().map(|order| order.apply(&net));
-    println!(
+    writeln!(
+        out,
         "Audsley OPA at 25 % jitter: {}",
         if opa.is_some() {
             "feasible order found"
         } else {
             "infeasible"
         }
-    );
+    )?;
 
     // SPEA2 with the experiment budget.
     let result = optimize_can_ids(
@@ -58,27 +64,28 @@ fn main() {
         },
     );
 
-    println!();
-    print_jitter_header(&grid);
+    writeln!(out)?;
+    write_jitter_header(out, &grid)?;
     let eval = Evaluator::default();
     let orig = eval.loss_vs_jitter(&net, &scenario, &grid).expect("valid");
-    print_loss_curve("original (legacy IDs)", &orig);
+    write_loss_curve(out, "original (legacy IDs)", &orig)?;
     let rm_curve = eval.loss_vs_jitter(&rm, &scenario, &grid).expect("valid");
-    print_loss_curve("rate-monotonic", &rm_curve);
+    write_loss_curve(out, "rate-monotonic", &rm_curve)?;
     if let Some(opa_net) = &opa_net {
         let c = eval
             .loss_vs_jitter(opa_net, &scenario, &grid)
             .expect("valid");
-        print_loss_curve("Audsley OPA @25%", &c);
+        write_loss_curve(out, "Audsley OPA @25%", &c)?;
     }
     let ga = eval
         .loss_vs_jitter(&result.optimized, &scenario, &grid)
         .expect("valid");
-    print_loss_curve("SPEA2 (paper Sec. 4.3)", &ga);
+    write_loss_curve(out, "SPEA2 (paper Sec. 4.3)", &ga)?;
 
-    println!(
+    writeln!(
+        out,
         "\nreading: OPA proves *feasibility* at the design point (zero loss at 25 %),\n\
          but only the multi-objective search also keeps the high-jitter tail and the\n\
          robustness margins under control — the reason the paper uses a GA."
-    );
+    )
 }

@@ -1,8 +1,7 @@
-//! Chaos soak + load bench for `carta-server`.
-//!
-//! Phase 1 (soak): a client fleet uploads sessions and analyzes them
-//! while a supervisor `kill -9`s and restarts the server on the same
-//! state directory. Invariants checked every cycle and at the end:
+//! Chaos soak for `carta-server`: a client fleet uploads sessions and
+//! analyzes them while a supervisor `kill -9`s and restarts the server
+//! on the same state directory. Invariants checked every cycle and at
+//! the end:
 //!
 //! * **zero lost acks** — every session whose upload was acknowledged
 //!   (201) before a crash resolves after the restart,
@@ -12,25 +11,19 @@
 //!   session is byte-for-byte the envelope a fresh in-process
 //!   [`Handler`] produces for the same CSV.
 //!
-//! Phase 2 (load): offered-load sweep against a fresh server,
-//! measuring requests/s, shed rate and p99 latency, written to
-//! `BENCH_server.json`.
-//!
 //! Environment knobs: `CHAOS_CYCLES` (default 3), `CHAOS_CLIENTS`
-//! (default 3), `CHAOS_UPLOADS_PER_CYCLE` (default 2),
-//! `CHAOS_LOAD_REQUESTS` (default 40 per level), `CARTA_SERVER_BIN`
-//! (default: sibling of this binary), `CHAOS_BENCH_OUT` (default
-//! `BENCH_server.json`).
+//! (default 3), `CHAOS_UPLOADS_PER_CYCLE` (default 2), `CARTA_SERVER_BIN`
+//! (default: sibling of this binary).
 
 use carta_api::prelude::{Handler, Model, Request, Response, ScenarioSpec};
 use carta_api::wire;
-use carta_obs::json::{self, ObjectBuilder};
+use carta_obs::json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key)
@@ -49,18 +42,22 @@ fn server_bin() -> std::path::PathBuf {
     exe.parent().expect("bin dir").join("carta-server")
 }
 
+/// Admission budget per window: wide open, so that the soak exercises
+/// crashes and replay rather than shedding.
+const BUDGET: u32 = 1000;
+
 struct ServerProc {
     child: Child,
     addr: String,
 }
 
 impl ServerProc {
-    fn launch(state_dir: &std::path::Path, budget: u32) -> ServerProc {
+    fn launch(state_dir: &std::path::Path) -> ServerProc {
         let mut child = Command::new(server_bin())
             .env("CARTA_SERVER_ADDR", "127.0.0.1:0")
             .env("CARTA_SERVER_STATE_DIR", state_dir)
             .env("CARTA_SERVER_WORKERS", "4")
-            .env("CARTA_SERVER_BUDGET", budget.to_string())
+            .env("CARTA_SERVER_BUDGET", BUDGET.to_string())
             .env("CARTA_SERVER_WINDOW_MS", "1000")
             .stdin(Stdio::null())
             .stdout(Stdio::null())
@@ -174,17 +171,15 @@ fn main() {
     let cycles = env_u64("CHAOS_CYCLES", 3);
     let clients = env_u64("CHAOS_CLIENTS", 3);
     let uploads_per_cycle = env_u64("CHAOS_UPLOADS_PER_CYCLE", 2);
-    let started = Instant::now();
 
     let state_dir = std::env::temp_dir().join(format!("carta-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&state_dir);
 
-    // ---- Phase 1: kill -9 / restart soak ----
     let ledger: Arc<Mutex<Vec<AckedSession>>> = Arc::new(Mutex::new(Vec::new()));
     let conn_errors = Arc::new(AtomicU64::new(0));
     let mut killed = 0u64;
     println!("chaos_server: {cycles} kill -9 cycles, {clients} clients");
-    let mut server = ServerProc::launch(&state_dir, 1000);
+    let mut server = ServerProc::launch(&state_dir);
     for cycle in 0..cycles {
         // Client fleet: upload + immediately analyze, recording every
         // *acked* upload in the ledger before moving on.
@@ -248,7 +243,7 @@ fn main() {
         }
         // Restart on the same state dir; replay must bring every
         // acked session back.
-        server = ServerProc::launch(&state_dir, 1000);
+        server = ServerProc::launch(&state_dir);
         let acked = ledger.lock().expect("ledger lock").clone();
         for session in &acked {
             let (status, body) = request(
@@ -281,139 +276,10 @@ fn main() {
     let acked_total = ledger.lock().expect("ledger lock").len() as u64;
     assert!(acked_total > 0, "the soak must ack at least one session");
 
-    // ---- Phase 2: offered-load sweep ----
-    // Fresh server with the production admission budget (32/s) so the
-    // shed column reflects real admission control, not the soak's
-    // wide-open window.
-    server.kill_hard();
-    server = ServerProc::launch(&state_dir, 32);
-    let load_requests = env_u64("CHAOS_LOAD_REQUESTS", 40);
-    let analyze = analyze_case_study_body();
-    // Warm the single bench tenant's evaluator cache once so the
-    // sweep measures the service layer, not first-point compilation.
-    let _ = request(
-        &server.addr,
-        "POST",
-        "/v1/requests",
-        Some("bench"),
-        &analyze,
-    );
-    let mut levels = Vec::new();
-    for &concurrency in &[1u64, 4, 8] {
-        let addr = server.addr.clone();
-        let latencies: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-        let shed = Arc::new(AtomicU64::new(0));
-        let ok = Arc::new(AtomicU64::new(0));
-        let level_started = Instant::now();
-        let workers: Vec<_> = (0..concurrency)
-            .map(|w| {
-                let addr = addr.clone();
-                let latencies = Arc::clone(&latencies);
-                let shed = Arc::clone(&shed);
-                let ok = Arc::clone(&ok);
-                let analyze = analyze.clone();
-                std::thread::spawn(move || {
-                    for i in 0..load_requests {
-                        // Alternate a heavy request in so admission
-                        // control has something to shed under load.
-                        let body = if i % 4 == 3 {
-                            loss_case_study_body()
-                        } else {
-                            analyze.clone()
-                        };
-                        let t0 = Instant::now();
-                        match request(&addr, "POST", "/v1/requests", Some("bench"), &body) {
-                            Ok((200, _)) => {
-                                ok.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Ok((429, _)) => {
-                                shed.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Ok((status, body)) => {
-                                panic!("worker {w}: unexpected {status}: {body}")
-                            }
-                            Err(e) => panic!("worker {w}: connection failed: {e}"),
-                        }
-                        latencies
-                            .lock()
-                            .expect("latency lock")
-                            .push(t0.elapsed().as_secs_f64() * 1000.0);
-                    }
-                })
-            })
-            .collect();
-        for worker in workers {
-            worker.join().expect("no hung load workers");
-        }
-        let wall_s = level_started.elapsed().as_secs_f64();
-        let mut lat = latencies.lock().expect("latency lock").clone();
-        lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let total = lat.len() as u64;
-        let p50 = lat[((lat.len() as f64 * 0.50) as usize).min(lat.len() - 1)];
-        let p99 = lat[((lat.len() as f64 * 0.99) as usize).min(lat.len() - 1)];
-        let level = ObjectBuilder::new()
-            .uint("concurrency", concurrency)
-            .uint("requests", total)
-            .uint("ok", ok.load(Ordering::SeqCst))
-            .uint("shed", shed.load(Ordering::SeqCst))
-            .num("requests_per_sec", total as f64 / wall_s)
-            .num(
-                "shed_rate",
-                shed.load(Ordering::SeqCst) as f64 / total as f64,
-            )
-            .num("p50_ms", p50)
-            .num("p99_ms", p99)
-            .build();
-        println!(
-            "  load c={concurrency}: {:.0} req/s, shed {:.0}%, p99 {:.1} ms",
-            total as f64 / wall_s,
-            100.0 * shed.load(Ordering::SeqCst) as f64 / total as f64,
-            p99
-        );
-        levels.push(level);
-    }
-
-    // ---- Report ----
-    let doc = ObjectBuilder::new()
-        .string("bench", "chaos_server")
-        .string(
-            "command",
-            "cargo run --release -p carta-bench --bin chaos_server",
-        )
-        .raw(
-            "soak",
-            &ObjectBuilder::new()
-                .uint("kill9_cycles", killed)
-                .uint("clients", clients)
-                .uint("acked_sessions", acked_total)
-                .uint("lost_acked_sessions", 0)
-                .uint("hung_clients", 0)
-                .uint(
-                    "connection_errors_during_outage",
-                    conn_errors.load(Ordering::SeqCst),
-                )
-                .bool("post_restart_bit_identical", true)
-                .build(),
-        )
-        .raw("load", &format!("[{}]", levels.join(",")))
-        .num("wall_s", started.elapsed().as_secs_f64())
-        .build();
-    let out = std::env::var("CHAOS_BENCH_OUT").unwrap_or_else(|_| "BENCH_server.json".into());
-    std::fs::write(&out, format!("{doc}\n")).expect("writes the bench report");
     println!(
-        "chaos_server: PASS — {killed} kill -9 cycles, {acked_total} acked sessions, zero lost; report in {out}"
+        "chaos_server: PASS — {killed} kill -9 cycles, {acked_total} acked sessions, zero lost, \
+         {} connection errors during outages",
+        conn_errors.load(Ordering::SeqCst)
     );
     let _ = std::fs::remove_dir_all(&state_dir);
-}
-
-fn analyze_case_study_body() -> String {
-    wire::encode_request(&Request::Analyze {
-        model: Model::case_study(),
-        scenario: ScenarioSpec::Worst,
-    })
-}
-
-fn loss_case_study_body() -> String {
-    // No `model` param → the case-study default, same as the CLI.
-    r#"{"schema":"carta.api.v1","request":"loss","params":{"scenario":"worst"}}"#.to_string()
 }

@@ -1,40 +1,11 @@
-//! Regenerates every figure and experiment of the paper in sequence —
-//! the one-command reproduction driver referenced by EXPERIMENTS.md.
-//! Each section is the output of the corresponding dedicated binary
-//! (`fig1_load` … `fig6_duality`, `ablation_baselines`), inlined.
-
-use std::process::Command;
+//! Regenerates every figure and experiment of the paper in one process:
+//! the reproduction record (DESIGN.md §3) on stdout, the wall-clock
+//! readings on stderr. Takes no arguments.
 
 fn main() {
-    let bins = [
-        "fig1_load",
-        "fig2_trace",
-        "fig3_scope",
-        "exp1_zero_jitter",
-        "exp2_realistic",
-        "fig4_sensitivity",
-        "fig5_loss",
-        "fig6_duality",
-        "ablation_baselines",
-    ];
-    let exe = std::env::current_exe().expect("own path");
-    let dir = exe.parent().expect("bin dir");
-    let mut failures = 0;
-    for bin in bins {
-        println!("\n{:=^78}\n", format!(" {bin} "));
-        let path = dir.join(bin);
-        let status = Command::new(&path)
-            .status()
-            .unwrap_or_else(|e| panic!("cannot spawn {}: {e}", path.display()));
-        if !status.success() {
-            eprintln!("{bin} FAILED ({status})");
-            failures += 1;
-        }
+    let record = carta_bench::run_all();
+    print!("{}", record.text);
+    for line in &record.wall_clock {
+        eprintln!("{line}");
     }
-    println!("\n{:=^78}", " done ");
-    if failures > 0 {
-        eprintln!("{failures} binaries failed");
-        std::process::exit(1);
-    }
-    println!("all {} experiment binaries completed", bins.len());
 }

@@ -3,19 +3,25 @@
 //! two practically useful error models the paper cites: sporadic
 //! (MTBF-style, ref. \[7\]) and burst (ref. \[8\]).
 
-use carta_bench::case_study;
+use crate::{case_study, Record};
 use carta_core::time::Time;
 use carta_explore::jitter::with_assumed_unknown_jitter;
 use carta_explore::scenario::Scenario;
+use std::fmt::{self, Write};
 
-fn main() {
-    println!("=== Experiment 2: realistic jitters + error models ===\n");
+/// Writes the E2 section.
+pub(crate) fn run(out: &mut Record) -> fmt::Result {
+    writeln!(
+        out,
+        "=== Experiment 2: realistic jitters + error models ===\n"
+    )?;
     let net = case_study();
 
-    println!(
+    writeln!(
+        out,
         "{:<34} {:>22} {:>8} {:>12}",
         "scenario", "assumed jitter (unknown)", "lost", "max WCRT"
-    );
+    )?;
     for assumed in [0.10, 0.20, 0.30] {
         let variant = with_assumed_unknown_jitter(&net, assumed);
         for scenario in [
@@ -25,7 +31,8 @@ fn main() {
             Scenario::worst_case(),
         ] {
             let report = scenario.analyze(&variant).expect("valid");
-            println!(
+            writeln!(
+                out,
                 "{:<34} {:>21.0}% {:>5} /{:>2} {:>12}",
                 scenario.name,
                 assumed * 100.0,
@@ -35,13 +42,14 @@ fn main() {
                     .max_wcrt()
                     .map(|t| t.to_string())
                     .unwrap_or_else(|| "unbounded".into())
-            );
+            )?;
         }
-        println!();
+        writeln!(out)?;
     }
-    println!(
+    writeln!(
+        out,
         "observation (paper Sec. 4): error models and bit stuffing dominate the loss\n\
          figures once jitters are realistic; the zero-jitter simplification has\n\
          limited practical relevance."
-    );
+    )
 }

@@ -3,16 +3,18 @@
 //! jittered releases and injected burst errors, then renders a window
 //! of the bus occupancy around an error burst as an ASCII Gantt chart.
 
-use carta_bench::case_study;
+use crate::{case_study, Record};
 use carta_core::time::Time;
 use carta_explore::jitter::with_assumed_unknown_jitter;
 use carta_sim::engine::{simulate, SimConfig, SimStuffing};
 use carta_sim::gantt::{render, GanttConfig};
 use carta_sim::inject::BurstInjection;
 use carta_sim::trace::TraceKind;
+use std::fmt::{self, Write};
 
-fn main() {
-    println!("=== Figure 2: complex communication pattern ===\n");
+/// Writes the F2 section.
+pub(crate) fn run(out: &mut Record) -> fmt::Result {
+    writeln!(out, "=== Figure 2: complex communication pattern ===\n")?;
     let net = with_assumed_unknown_jitter(&case_study(), 0.20);
     let injector = BurstInjection {
         burst_len: 3,
@@ -71,15 +73,19 @@ fn main() {
     for line in gantt.lines() {
         let body: String = line.chars().skip_while(|c| *c != '|').collect();
         if !line.starts_with(' ') || body.chars().any(|c| "#Rx".contains(c)) {
-            println!("{line}");
+            writeln!(out, "{line}")?;
         }
     }
-    println!("\nlegend: # transmission, R retransmission, x error frame, . idle");
-    println!(
+    writeln!(
+        out,
+        "\nlegend: # transmission, R retransmission, x error frame, . idle"
+    )?;
+    writeln!(
+        out,
         "run stats: {} error hits in 500 ms, observed utilization {:.1} %, \
          {} buffer overwrites",
         sim.trace.error_count(),
         sim.observed_utilization() * 100.0,
         sim.total_overwritten()
-    );
+    )
 }

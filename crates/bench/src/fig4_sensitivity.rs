@@ -3,16 +3,18 @@
 //! assumed jitter ratio, with the paper's robust → very sensitive
 //! classification.
 
-use carta_bench::case_study;
-use carta_bench::plot::{line_chart, Series as PlotSeries};
+use crate::plot::{line_chart, Series as PlotSeries};
+use crate::{case_study, Record};
 use carta_engine::prelude::Evaluator;
 use carta_explore::loss::paper_jitter_grid;
 use carta_explore::scenario::Scenario;
 use carta_explore::sensitivity::SensitivityClass;
 use carta_explore::sweeps::Sweeps;
+use std::fmt::{self, Write};
 
-fn main() {
-    println!("=== Figure 4: response time vs jitter ===\n");
+/// Writes the F4 section.
+pub(crate) fn run(out: &mut Record) -> fmt::Result {
+    writeln!(out, "=== Figure 4: response time vs jitter ===\n")?;
     let net = case_study();
     let grid = paper_jitter_grid();
     let series = Evaluator::default()
@@ -26,21 +28,21 @@ fn main() {
         by_class.entry(s.classify()).or_default().push(s);
     }
 
-    print!("{:<26} |", "jitter in % of period");
+    write!(out, "{:<26} |", "jitter in % of period")?;
     for r in &grid {
-        print!(" {:>7.0}", r * 100.0);
+        write!(out, " {:>7.0}", r * 100.0)?;
     }
-    println!("\n{}", "-".repeat(28 + 8 * grid.len()));
+    writeln!(out, "\n{}", "-".repeat(28 + 8 * grid.len()))?;
     for (class, members) in &by_class {
         for s in members.iter().take(2) {
-            print!("{:<26} |", format!("{} [{}]", s.message, class));
+            write!(out, "{:<26} |", format!("{} [{}]", s.message, class))?;
             for (_, r) in &s.points {
                 match r {
-                    Some(t) => print!(" {:>6.2}ms", t.as_ms_f64()),
-                    None => print!(" {:>7}", "inf"),
+                    Some(t) => write!(out, " {:>6.2}ms", t.as_ms_f64())?,
+                    None => write!(out, " {:>7}", "inf")?,
                 }
             }
-            println!();
+            writeln!(out)?;
         }
     }
 
@@ -61,14 +63,15 @@ fn main() {
             });
         }
     }
-    println!("\n{}", line_chart(&x, &plot_series, 14, "ms"));
+    writeln!(out, "\n{}", line_chart(&x, &plot_series, 14, "ms"))?;
 
-    println!("class census over all {} messages:", series.len());
+    writeln!(out, "class census over all {} messages:", series.len())?;
     for (class, members) in &by_class {
-        println!("  {class:<20} {:>3}", members.len());
+        writeln!(out, "  {class:<20} {:>3}", members.len())?;
     }
-    println!(
+    writeln!(
+        out,
         "\nshape check (paper): response times grow monotonically with jitter;\n\
          some messages stay flat (robust), others explode (very sensitive)."
-    );
+    )
 }

@@ -2,7 +2,7 @@
 //! OEMs and Suppliers". Derives all four artifacts on the case study
 //! and closes both check loops.
 
-use carta_bench::case_study;
+use crate::{case_study, Record};
 use carta_contract::compat::{check, check_freshness};
 use carta_contract::duality::{
     oem_receive_guarantees, oem_send_requirements, supplier_send_datasheet,
@@ -12,9 +12,11 @@ use carta_ecu::rta::EcuAnalysisConfig;
 use carta_ecu::task::{OsekOverhead, Priority, Task};
 use carta_explore::jitter::with_assumed_unknown_jitter;
 use carta_explore::scenario::Scenario;
+use std::fmt::{self, Write};
 
-fn main() {
-    println!("=== Figure 6: requirements/guarantees duality ===\n");
+/// Writes the F6 section.
+pub(crate) fn run(out: &mut Record) -> fmt::Result {
+    writeln!(out, "=== Figure 6: requirements/guarantees duality ===\n")?;
     let net = with_assumed_unknown_jitter(&case_study(), 0.15);
 
     // --- OEM -> supplier: required send behavior -------------------------
@@ -25,12 +27,12 @@ fn main() {
     // after the Sec. 4.3 optimization (see fig5_loss).
     let tcu = 1; // node index of the TCU in the generated matrix
     let req = oem_send_requirements(&net, &Scenario::best_case(), tcu, 0.9, 0.8).expect("valid");
-    println!("required by OEM (send jitter budgets for the TCU):");
+    writeln!(out, "required by OEM (send jitter budgets for the TCU):")?;
     for (name, bound) in req.iter().take(6) {
-        println!("  {name:<22} {bound}");
+        writeln!(out, "  {name:<22} {bound}")?;
     }
     if req.len() > 6 {
-        println!("  ... ({} more)", req.len() - 6);
+        writeln!(out, "  ... ({} more)", req.len() - 6)?;
     }
 
     // --- supplier: guaranteed send behavior ------------------------------
@@ -81,15 +83,22 @@ fn main() {
         &mapping,
     )
     .expect("bounded");
-    println!("\nguaranteed by supplier (from its private ECU analysis):");
+    writeln!(
+        out,
+        "\nguaranteed by supplier (from its private ECU analysis):"
+    )?;
     for (name, model) in ds.iter().take(6) {
-        println!("  {name:<22} {model}");
+        writeln!(out, "  {name:<22} {model}")?;
     }
 
     // --- check loop 1: supplier guarantee vs OEM requirement -------------
     let compat = check(&ds, &req);
-    println!("\ncheck 1 — supplier send guarantees vs OEM requirements:");
-    println!(
+    writeln!(
+        out,
+        "\ncheck 1 — supplier send guarantees vs OEM requirements:"
+    )?;
+    writeln!(
+        out,
         "  {} of {} satisfied{}",
         req.len() - compat.failures().len(),
         req.len(),
@@ -98,20 +107,21 @@ fn main() {
         } else {
             ""
         }
-    );
+    )?;
     for name in compat.failures() {
-        println!("  needs renegotiation: {name}");
+        writeln!(out, "  needs renegotiation: {name}")?;
     }
 
     // --- check loop 2: OEM arrival guarantee vs supplier freshness -------
     let (arrivals, unguaranteed) =
         oem_receive_guarantees(&net, &Scenario::best_case()).expect("valid");
-    println!(
+    writeln!(
+        out,
         "\ncheck 2 — OEM arrival guarantees vs supplier freshness needs \
          ({} messages guaranteed, {} not guaranteeable):",
         arrivals.len(),
         unguaranteed.len()
-    );
+    )?;
     let mut ok = 0;
     let mut total = 0;
     for (name, model) in arrivals.iter() {
@@ -121,8 +131,8 @@ fn main() {
         if check_freshness(bound, model).is_ok() {
             ok += 1;
         } else {
-            println!("  {name}: freshness {bound} NOT met by {model}");
+            writeln!(out, "  {name}: freshness {bound} NOT met by {model}")?;
         }
     }
-    println!("  {ok} of {total} freshness requirements satisfied");
+    writeln!(out, "  {ok} of {total} freshness requirements satisfied")
 }

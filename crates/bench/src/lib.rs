@@ -1,101 +1,109 @@
-//! Shared helpers for the `carta-bench` figure-regeneration binaries
-//! and criterion benches. See DESIGN.md §3 for the experiment index
-//! and EXPERIMENTS.md for recorded outputs.
+//! The reproduction record of the paper's evaluation: every figure and
+//! experiment (DESIGN.md §3) is a library function that writes its
+//! deterministic text into a [`Record`]. [`run_all`] runs them in
+//! sequence, in process; the `run_all` binary prints the result. The
+//! record is pinned by `tests/run_all_golden.rs`, and EXPERIMENTS.md
+//! quotes it.
 
-pub mod plot;
+mod plot;
 
-use carta_engine::prelude::{BaseSystem, Scenario, SystemVariant};
+mod ablation_baselines;
+mod ablation_error_models;
+mod exp1_zero_jitter;
+mod exp2_realistic;
+mod fig1_load;
+mod fig2_trace;
+mod fig3_scope;
+mod fig4_sensitivity;
+mod fig5_loss;
+mod fig6_duality;
+
 use carta_explore::loss::LossCurve;
 use carta_kmatrix::generator::powertrain_default;
 use carta_kmatrix::model::KMatrix;
-use std::sync::Arc;
+use std::fmt::{self, Write};
+
+/// What the experiments write.
+#[derive(Debug, Default)]
+pub struct Record {
+    /// The deterministic text: the same bytes on every run, at any
+    /// `CARTA_JOBS`, in debug and in release.
+    pub text: String,
+    /// Wall-clock readings, one line each. They differ from run to run,
+    /// so they stay out of `text`.
+    pub wall_clock: Vec<String>,
+}
+
+impl Write for Record {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.text.push_str(s);
+        Ok(())
+    }
+}
+
+/// One experiment: writes its section of the record.
+type Experiment = fn(&mut Record) -> fmt::Result;
+
+/// Every section of the record in order, under its name.
+const SECTIONS: [(&str, Experiment); 10] = [
+    ("fig1_load", fig1_load::run),
+    ("fig2_trace", fig2_trace::run),
+    ("fig3_scope", fig3_scope::run),
+    ("exp1_zero_jitter", exp1_zero_jitter::run),
+    ("exp2_realistic", exp2_realistic::run),
+    ("fig4_sensitivity", fig4_sensitivity::run),
+    ("fig5_loss", fig5_loss::run),
+    ("fig6_duality", fig6_duality::run),
+    ("ablation_error_models", ablation_error_models::run),
+    ("ablation_baselines", ablation_baselines::run),
+];
+
+/// Runs every section in order and returns the whole record.
+pub fn run_all() -> Record {
+    let mut record = Record::default();
+    write_all(&mut record).expect("writing to a String cannot fail");
+    record
+}
+
+fn write_all(record: &mut Record) -> fmt::Result {
+    for (name, experiment) in SECTIONS {
+        writeln!(record, "\n{:=^78}\n", format!(" {name} "))?;
+        experiment(record)?;
+    }
+    writeln!(record, "\n{:=^78}", " done ")?;
+    writeln!(record, "all {} experiments completed", SECTIONS.len())
+}
 
 /// The case-study network used by every experiment.
-pub fn case_study() -> carta_can::network::CanNetwork {
+fn case_study() -> carta_can::network::CanNetwork {
     case_study_matrix()
         .to_network()
         .expect("generated matrix is always convertible")
 }
 
 /// The case-study K-Matrix (seed 42).
-pub fn case_study_matrix() -> KMatrix {
+fn case_study_matrix() -> KMatrix {
     powertrain_default()
 }
 
-/// The identifier permutations of the scale sweep: `None` (the base
-/// order) followed by `count - 1` rotations of the priority ranks.
-pub fn scale_perms(n_msgs: usize, count: usize) -> Vec<Option<Arc<Vec<usize>>>> {
-    (0..count)
-        .map(|rot| {
-            if rot == 0 {
-                None
-            } else {
-                Some(Arc::new((0..n_msgs).map(|i| (i + rot) % n_msgs).collect()))
-            }
-        })
-        .collect()
-}
-
-/// One point of the jitter × error × permutation scale sweep, shared by
-/// the `scale` criterion bench and the `scale` bin (BENCH_scale.json)
-/// so their workloads stay comparable.
-///
-/// Index `i` decomposes little-endian into (jitter-ratio rank,
-/// sporadic-error interval rank, permutation rank); every index below
-/// `ratios * errors * perms.len()` maps to a structurally distinct
-/// [`VariantKey`](carta_engine::prelude::VariantKey), which is what
-/// makes the sweep's cache statistics reproducible at any job count.
-pub fn scale_point(
-    base: &Arc<BaseSystem>,
-    perms: &[Option<Arc<Vec<usize>>>],
-    ratios: usize,
-    errors: usize,
-    i: usize,
-) -> SystemVariant {
-    let ratio_rank = i % ratios;
-    let err_rank = (i / ratios) % errors;
-    let perm_rank = (i / (ratios * errors)) % perms.len();
-    let scenario = Scenario::sporadic_errors(carta_core::time::Time::from_us(
-        2_000 + 250 * err_rank as u64,
-    ));
-    let mut v = SystemVariant::new(base.clone(), scenario)
-        .with_jitter_ratio(ratio_rank as f64 / ratios as f64 * 0.6);
-    if let Some(perm) = &perms[perm_rank] {
-        v = v.with_permutation(perm.clone());
-    }
-    v
-}
-
-/// The single-core reference batch of the scale sweep: 1024
-/// permutation-free points (256 jitter ratios × 4 error intervals) over
-/// the case study. `scale/cold_1024pts_jobs/1` in the bench and the
-/// cold/warm single-core rows of BENCH_scale.json time exactly this.
-pub fn scale_batch_1k() -> Vec<SystemVariant> {
-    let base = BaseSystem::new(case_study());
-    let perms = scale_perms(0, 1);
-    (0..1024)
-        .map(|i| scale_point(&base, &perms, 256, 4, i))
-        .collect()
-}
-
-/// Prints a loss curve as one aligned row, the textual form of one
+/// Writes a loss curve as one aligned row, the textual form of one
 /// Figure-5 series.
-pub fn print_loss_curve(label: &str, curve: &LossCurve) {
-    print!("{label:<26} |");
+fn write_loss_curve(out: &mut impl Write, label: &str, curve: &LossCurve) -> fmt::Result {
+    write!(out, "{label:<26} |")?;
     for p in &curve.points {
-        print!(" {:5.1}", p.fraction() * 100.0);
+        write!(out, " {:5.1}", p.fraction() * 100.0)?;
     }
-    println!();
+    writeln!(out)
 }
 
-/// Prints the shared jitter header row for curve tables.
-pub fn print_jitter_header(ratios: &[f64]) {
-    print!("{:<26} |", "jitter in % of period");
+/// Writes the shared jitter header row for curve tables.
+fn write_jitter_header(out: &mut impl Write, ratios: &[f64]) -> fmt::Result {
+    write!(out, "{:<26} |", "jitter in % of period")?;
     for r in ratios {
-        print!(" {:5.0}", r * 100.0);
+        write!(out, " {:5.0}", r * 100.0)?;
     }
-    println!();
-    println!("{}", "-".repeat(28 + 6 * ratios.len()));
+    writeln!(out)?;
+    writeln!(out, "{}", "-".repeat(28 + 6 * ratios.len()))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
-//! Minimal ASCII line charts for the figure-regeneration binaries —
-//! so `fig4_sensitivity` and `fig5_loss` print an actual *figure*, not
-//! only the data rows.
+//! Minimal ASCII line charts for the reproduction record — so the
+//! `fig4_sensitivity` and `fig5_loss` sections show an actual *figure*,
+//! not only the data rows.
 
 /// One data series: a label, a plot symbol and the y-values (one per
 /// shared x grid point). `None` = missing (e.g. unbounded).

@@ -1,7 +1,8 @@
 //! Paper-shape assertions for the case-study experiments (Sec. 4 /
 //! Figures 4 and 5). These lock in the qualitative results DESIGN.md
-//! promises; the exact series are regenerated by the `carta-bench`
-//! binaries and recorded in EXPERIMENTS.md.
+//! promises. The exact series are sections of `carta-bench`'s
+//! reproduction record, pinned byte for byte by its `run_all_golden`
+//! test and quoted in EXPERIMENTS.md.
 
 use carta::prelude::*;
 
@@ -115,7 +116,7 @@ fn figure_5_loss_curves_have_paper_shape() {
 #[test]
 fn figure_5_optimization_eliminates_loss_at_25_percent() {
     let net = case_study();
-    // The full experiment budget (matches the fig5_loss bench binary).
+    // The full experiment budget (matches the record's fig5_loss section).
     let config = OptimizeIdsConfig {
         spea2: Spea2Config {
             population: 60,

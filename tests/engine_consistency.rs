@@ -259,7 +259,8 @@ proptest! {
     // are bit-identical (every PMF bin, every derived quantile) across
     // cache temperature, worker count, and bus backend — a fresh
     // single-threaded evaluator and a warm multi-threaded one must not
-    // differ in a single bit.
+    // differ in a single bit, and both equal the self-contained
+    // `prob_analyze` of the materialized network.
     #[test]
     fn prob_results_are_bit_identical_across_cache_and_jobs(
         seed in 0u64..5_000,
@@ -287,6 +288,8 @@ proptest! {
         // prob path runs against a warm cache there and a cold one on
         // the reference.
         let _ = parallel.evaluate_batch(&variants);
+        let model = scenario.errors.model();
+        let config = scenario.analysis_config();
 
         for (i, v) in variants.iter().enumerate() {
             let cold = parallel.evaluate_prob(v).expect("analyzable");
@@ -294,6 +297,9 @@ proptest! {
             prop_assert!(Arc::ptr_eq(&cold, &warm), "variant {i}: prob result not cached");
             let fresh = reference.evaluate_prob(v).expect("analyzable");
             prop_assert_eq!(&*cold, &*fresh, "variant {} diverges across evaluators", i);
+            let direct = prob_analyze(&v.materialize(), model.as_ref(), &config)
+                .expect("analyzable");
+            prop_assert_eq!(&*cold, &direct, "variant {} diverges from prob_analyze", i);
         }
     }
 }
