@@ -84,8 +84,10 @@ pub(crate) fn run(out: &mut Record) -> fmt::Result {
 
     writeln!(
         out,
-        "\nreading: OPA proves *feasibility* at the design point (zero loss at 25 %),\n\
-         but only the multi-objective search also keeps the high-jitter tail and the\n\
-         robustness margins under control — the reason the paper uses a GA."
+        "\nreading: every repair is loss-free at the 25 % design point, where OPA proves\n\
+         feasibility and nothing more (10.9 % at 30 %). Rate-monotonic is loss-free up\n\
+         to 40 % and lowest from 45 to 55 %; SPEA2 with this seed is loss-free up to\n\
+         30 % and reads 43.8 % at 60 %, above the legacy IDs' 39.1 %. No assignment is\n\
+         lowest at every jitter."
     )
 }

@@ -47,7 +47,7 @@
 //! * every interfering activation dominates its previous self:
 //!   `η⁺_j^new ≥ η⁺_j^old` pointwise, for which
 //!   `P_new ≤ P_old ∧ J_new ≥ J_old` plus a compatible `d_min` is
-//!   sufficient (see [`eta_dominates`]).
+//!   sufficient (see `eta_dominates`).
 //!
 //! The message's *own* activation never appears in `f_q`, only in the
 //! busy-period extension and the response-time subtraction — both are

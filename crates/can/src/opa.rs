@@ -12,8 +12,8 @@
 //!
 //! OPA decides *feasibility* optimally but, unlike the SPEA2 search of
 //! `carta-optim`, optimizes nothing beyond it (no robustness margins,
-//! no multi-point trade-offs) — exactly the comparison the benches in
-//! `carta-bench` draw.
+//! no multi-point trade-offs) — the comparison the reproduction record's
+//! `ablation_baselines` section (A3, `carta-bench`) draws.
 
 use crate::compiled::{busy_window, demand_terms, CompiledBus};
 use crate::error_model::ErrorModel;

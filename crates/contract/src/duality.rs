@@ -117,11 +117,9 @@ pub fn max_message_jitter(
 ///
 /// # Errors
 ///
-/// Propagates [`AnalysisError`] for malformed networks.
-///
-/// # Panics
-///
-/// Panics if `margin` or `cap_ratio` is not in `(0, 1]`.
+/// Returns [`AnalysisError::InvalidModel`] if `node` is not a node of
+/// `net` or if `margin` or `cap_ratio` is not in `(0, 1]`, and
+/// propagates [`AnalysisError`] for malformed networks.
 pub fn oem_send_requirements(
     net: &CanNetwork,
     scenario: &Scenario,
@@ -129,16 +127,18 @@ pub fn oem_send_requirements(
     cap_ratio: f64,
     margin: f64,
 ) -> Result<RequirementSpec, AnalysisError> {
-    assert!(margin > 0.0 && margin <= 1.0, "margin must be in (0, 1]");
-    assert!(
-        cap_ratio > 0.0 && cap_ratio <= 1.0,
-        "cap ratio must be in (0, 1]"
-    );
+    for (what, ratio) in [("margin", margin), ("cap ratio", cap_ratio)] {
+        if !(ratio > 0.0 && ratio <= 1.0) {
+            return Err(AnalysisError::InvalidModel(format!(
+                "{what} {ratio} must be in (0, 1]"
+            )));
+        }
+    }
     let node_name = net
         .nodes()
         .get(node)
         .map(|n| n.name.clone())
-        .unwrap_or_else(|| format!("node {node}"));
+        .ok_or_else(|| AnalysisError::InvalidModel(format!("node index {node} out of range")))?;
     let mut spec = RequirementSpec::new(format!("OEM requirements for {node_name}"));
     let names: Vec<(String, EventModel)> = net
         .messages()
@@ -323,6 +323,25 @@ mod tests {
         assert!(check_freshness(Time::from_ms(15), rpm).is_ok());
         // A 10.1 ms bound is too tight once arrival jitter is counted.
         assert!(!check_freshness(Time::from_ms(10) + Time::from_us(100), rpm).is_ok());
+    }
+
+    fn assert_refused(node: usize, cap_ratio: f64, margin: f64, named: &str) {
+        match oem_send_requirements(&bus(), &Scenario::worst_case(), node, cap_ratio, margin) {
+            Err(AnalysisError::InvalidModel(msg)) => assert!(msg.contains(named), "{msg}"),
+            other => panic!("expected InvalidModel naming `{named}`, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn requirements_for_an_unknown_node_are_refused() {
+        assert_refused(99, 0.5, 0.8, "node index 99");
+    }
+
+    #[test]
+    fn requirements_refuse_ratios_outside_the_unit_interval() {
+        assert_refused(1, 0.5, f64::NAN, "margin NaN");
+        assert_refused(1, 0.0, 0.8, "cap ratio 0");
+        assert_refused(1, 1.5, 0.8, "cap ratio 1.5");
     }
 
     #[test]

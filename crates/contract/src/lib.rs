@@ -14,9 +14,7 @@
 //! * [`scope`] — Figure 3's information partition and the assumptions
 //!   an analysis needs,
 //! * [`refinement`] — Section 5.2's iterative refinement as
-//!   assumptions are replaced by real data,
-//! * [`risk`] — the multi-supplier penalty-reward risk management the
-//!   paper forecasts in its conclusion (ref. \[14\]).
+//!   assumptions are replaced by real data.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -26,10 +24,7 @@
 
 pub mod compat;
 pub mod duality;
-pub mod exchange;
-pub mod negotiation;
 pub mod refinement;
-pub mod risk;
 pub mod scope;
 pub mod spec;
 
@@ -39,14 +34,7 @@ pub mod prelude {
     pub use crate::duality::{
         max_message_jitter, oem_receive_guarantees, oem_send_requirements, supplier_send_datasheet,
     };
-    pub use crate::exchange::{
-        datasheet_to_text, from_text, requirements_to_text, ExchangeDocument, ParseExchangeError,
-    };
-    pub use crate::negotiation::{negotiate, NegotiationOutcome, NegotiationRound};
     pub use crate::refinement::{RefinementSession, RefinementStep};
-    pub use crate::risk::{
-        assess_suppliers, Commitment, CommitmentStatus, RiskConfig, RiskReport, SupplierRisk,
-    };
     pub use crate::scope::{analysis_readiness, InformationScope, ReadinessReport};
     pub use crate::spec::{Datasheet, RequirementSpec};
 }

@@ -42,12 +42,19 @@ impl RefinementSession {
     ///
     /// # Errors
     ///
-    /// Propagates [`AnalysisError`] from the initial analysis.
+    /// Returns [`AnalysisError::InvalidModel`] if `assumed_ratio` is not
+    /// in `[0, 1]`, and propagates [`AnalysisError`] from the initial
+    /// analysis.
     pub fn start(
         net: &CanNetwork,
         scenario: Scenario,
         assumed_ratio: f64,
     ) -> Result<Self, AnalysisError> {
+        if !(0.0..=1.0).contains(&assumed_ratio) {
+            return Err(AnalysisError::InvalidModel(format!(
+                "assumed jitter ratio {assumed_ratio} must be in [0, 1]"
+            )));
+        }
         let mut net = net.clone();
         let mut assumed = BTreeSet::new();
         for m in net.messages_mut() {
@@ -200,6 +207,18 @@ mod tests {
         session.commit_datasheet(&ds).expect("valid");
         assert!(session.current_missed() <= before);
         assert_eq!(session.assumed_remaining(), 0);
+    }
+
+    #[test]
+    fn a_ratio_outside_the_unit_interval_is_refused() {
+        for ratio in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            match RefinementSession::start(&net(), Scenario::worst_case(), ratio) {
+                Err(AnalysisError::InvalidModel(msg)) => {
+                    assert!(msg.contains(&format!("ratio {ratio} ")), "{msg}")
+                }
+                other => panic!("ratio {ratio}: expected InvalidModel, got {other:?}"),
+            }
+        }
     }
 
     #[test]

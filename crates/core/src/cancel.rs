@@ -12,7 +12,7 @@
 //! that completed before the trip is bit-identical to an uncancelled
 //! run (the engine never caches or publishes partial solves).
 //!
-//! Tokens form a chain: [`CancelToken::child`] shares the parent's
+//! Tokens form a chain: [`CancelToken::child_with_deadline`] shares the parent's
 //! flag (and deadline) while carrying its own, so a server can hold one
 //! drain token and derive a per-request token with a tighter deadline —
 //! cancelling the parent trips every child at once.

@@ -1,28 +1,28 @@
 //! # carta-engine
 //!
-//! The unified evaluation engine of the `carta` workspace: every caller
-//! that asks "what would the RTA say about this variant of the network"
-//! — sensitivity sweeps, loss curves, extensibility searches, the SPEA2
-//! identifier optimizer, benches — routes through one [`Evaluator`].
+//! The unified evaluation engine of the `carta` workspace: every caller that
+//! asks "what would the RTA say about this variant of the network" — sensitivity
+//! sweeps, loss curves, extensibility searches, the SPEA2 identifier optimizer,
+//! benches — routes through one [`Evaluator`](evaluator::Evaluator).
 //!
 //! The paper's headline workloads (Sec. 4.1–4.3) all reduce to
 //! evaluating the same analysis over thousands of network variants.
 //! Three mechanisms make that cheap:
 //!
-//! * **Overlays, not clones** — a [`SystemVariant`] is a shared
-//!   [`BaseSystem`] plus small deltas (jitter assumption, error model,
-//!   deadline override, identifier permutation). Every variant takes
-//!   one solve path: its activation/deadline rows fill a per-thread
-//!   solve point against the base's compiled tables — or, for a
-//!   permutation, a per-thread reordered copy of them — and warm-start
-//!   from the previous solve. No network is cloned per point.
-//! * **Memoization** — the [`Evaluator`] caches reports in a sharded
-//!   map keyed by the structural [`VariantKey`], so repeated genomes
-//!   across GA generations and overlapping sweep grids hit the cache.
-//! * **Parallel batches** — [`Evaluator::evaluate_batch`] fans a slice
-//!   of variants out over [`Parallelism::jobs`] worker threads
-//!   (`CARTA_JOBS` env var / `--jobs` CLI flag); results and
-//!   [`CacheStats`] are bit-identical at any job count.
+//! * **Overlays, not clones** — a [`SystemVariant`](variant::SystemVariant) is
+//!   a shared [`BaseSystem`](variant::BaseSystem) plus small deltas (jitter
+//!   assumption, error model, deadline override, identifier permutation).
+//!   Every variant takes one solve path: its activation/deadline rows fill a
+//!   per-thread solve point against the base's compiled tables — or, for a
+//!   permutation, a per-thread reordered copy of them — and warm-start from
+//!   the previous solve. No network is cloned per point.
+//! * **Memoization** — the [`Evaluator`](evaluator::Evaluator) caches reports in a
+//!   sharded map keyed by the structural [`VariantKey`](variant::VariantKey), so
+//!   repeated genomes across GA generations and overlapping sweep grids hit the cache.
+//! * **Parallel batches** — [`Evaluator::evaluate_batch`](evaluator::Evaluator::evaluate_batch)
+//!   fans a slice of variants out over [`Parallelism::jobs`](evaluator::Parallelism::jobs)
+//!   worker threads (`CARTA_JOBS` env var / `--jobs` CLI flag); results and
+//!   [`CacheStats`](evaluator::CacheStats) are bit-identical at any job count.
 //!
 //! ```
 //! use carta_engine::prelude::*;

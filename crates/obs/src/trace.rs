@@ -1,7 +1,7 @@
 //! Scoped-span tracing facade with pluggable sinks.
 //!
-//! Instrumented code opens spans with [`span!`] and emits point events
-//! with [`event!`], both addressed to an [`crate::Obs`]. Without a sink
+//! Instrumented code opens spans with [`span!`](crate::span!) and emits point events
+//! with [`event!`](crate::event!), both addressed to an [`crate::Obs`]. Without a sink
 //! in that observer they are no-ops — one `Option` check, with field
 //! formatting never evaluated and no clock read. Sinks receive
 //! [`SpanEvent`] records; the crate ships a [`NullSink`], a
@@ -239,7 +239,7 @@ fn now_ns() -> u64 {
 }
 
 /// RAII guard for one span: emits `Enter` on creation and `Exit` (with
-/// duration) on drop. Created via the [`span!`] macro; inert when its
+/// duration) on drop. Created via the [`span!`](crate::span!) macro; inert when its
 /// observer has no sink.
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
@@ -251,7 +251,7 @@ pub struct SpanGuard<'a> {
 
 impl<'a> SpanGuard<'a> {
     /// Opens a span named `name` in `sink`; `fields` is only invoked
-    /// when there is a sink. Prefer the [`span!`] macro.
+    /// when there is a sink. Prefer the [`span!`](crate::span!) macro.
     #[must_use = "the span closes when the guard drops"]
     pub fn new(
         sink: Option<&'a Arc<dyn SpanSink>>,
@@ -306,7 +306,7 @@ impl Drop for SpanGuard<'_> {
 }
 
 /// Emits a point-in-time event into `sink`; `fields` is only invoked
-/// when there is a sink. Prefer the [`event!`] macro.
+/// when there is a sink. Prefer the [`event!`](crate::event!) macro.
 pub fn instant(
     sink: Option<&Arc<dyn SpanSink>>,
     name: &'static str,

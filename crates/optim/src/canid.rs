@@ -209,9 +209,9 @@ pub struct OptimizeIdsConfig {
     /// Scenario under which loss is evaluated (default: worst case).
     pub scenario: Scenario,
     /// Jitter ratios at which loss counts become objectives
-    /// (default: 25 %, 40 % and 60 % — the design point plus two
-    /// tail anchors so the optimized curve stays below the original
-    /// across the whole sweep).
+    /// (default: 25 %, 40 % and 60 % — the design point plus two tail
+    /// anchors; they weigh the tail in, but do not keep the optimized
+    /// curve below the original at every ratio).
     pub eval_ratios: Vec<f64>,
     /// Weights for picking the final solution from the Pareto archive
     /// (must have `eval_ratios.len() + 1` entries — loss counts first,

@@ -1,7 +1,7 @@
 //! `carta-server`: multi-tenant analysis-as-a-service over
 //! `carta.api.v1`.
 //!
-//! The server is a thin shell around [`carta_api::Handler`] — it owns
+//! The server is a thin shell around [`carta_api::handler::Handler`] — it owns
 //! **no analysis logic**. What it adds is the service layer the
 //! library deliberately does not have:
 //!

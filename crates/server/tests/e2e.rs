@@ -1,7 +1,7 @@
 //! End-to-end service tests over a real socket: two tenants, session
-//! upload, `carta.api.v1` round-trips, admission shedding, degraded
-//! analyze under pressure, tenant isolation, and the `/v1/metrics`
-//! document.
+//! upload, `carta.api.v1` round-trips, the probabilistic payloads,
+//! admission shedding, degraded analyze under pressure, tenant
+//! isolation, and the `/v1/metrics` document.
 //!
 //! Every test spins its own server on an ephemeral port (`:0`) with a
 //! 60 s admission window so budget arithmetic is deterministic.
@@ -117,10 +117,22 @@ fn analyze_session_body(id: &str) -> String {
     )
 }
 
+/// The members of `value` named in `keys` (whitespace-separated) are
+/// all present.
+fn assert_has_keys(value: &Value, keys: &str) {
+    for key in keys.split_whitespace() {
+        assert!(value.get(key).is_some(), "missing `{key}` in {value:?}");
+    }
+}
+
 #[test]
 fn uploaded_session_analysis_is_bit_identical_to_a_direct_evaluator_run() {
     let server = start(32);
     let addr = server.addr();
+    let (status, body) = http(addr, "GET", "/v1/healthz", None, "");
+    assert_eq!(status, 200, "{body}");
+    let health = json::parse(&body).expect("valid health document");
+    assert_eq!(health.get("ok").and_then(Value::as_bool), Some(true));
     let csv = generate_csv(42);
     let id = upload(addr, "oem", &csv);
 
@@ -156,6 +168,92 @@ fn uploaded_session_analysis_is_bit_identical_to_a_direct_evaluator_run() {
         "the server's report must round-trip bit-identically"
     );
     assert!(!over_the_wire.report.is_degraded());
+    // The derived verdicts are on the wire too, for clients that do not
+    // rebuild the report.
+    let result = doc.get("result").expect("result");
+    assert_eq!(result.get("degraded").and_then(Value::as_bool), Some(false));
+    assert_eq!(
+        result.get("schedulable").and_then(Value::as_bool),
+        Some(direct.report.schedulable())
+    );
+    server.stop();
+}
+
+/// Sends `request` on `session` for the "oem" tenant and returns the
+/// `result` of its 200 envelope.
+fn session_result(addr: SocketAddr, request: &str, session: &str) -> Value {
+    let body = format!(
+        r#"{{"schema":"carta.api.v1","request":"{request}","params":{{"model":{{"source":{{"kind":"session","id":"{session}"}}}},"scenario":"worst"}}}}"#
+    );
+    let (status, body) = http(addr, "POST", "/v1/requests", Some("oem"), &body);
+    assert_eq!(status, 200, "{body}");
+    let doc = json::parse(&body).expect("valid response envelope");
+    assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(doc.get("kind").and_then(Value::as_str), Some(request));
+    doc.get("result").expect("result").clone()
+}
+
+/// `certain ≤ expected ≤ possible` missed messages, the expectation
+/// within float tolerance.
+fn assert_missed_bracket(v: &Value) {
+    let num = |key: &str| v.get(key).and_then(Value::as_f64).expect(key);
+    let (certain, expected, possible) = (
+        num("certain_missed"),
+        num("expected_missed"),
+        num("possible_missed"),
+    );
+    assert!(certain <= possible, "{v:?}");
+    assert!(
+        certain - 1e-6 <= expected && expected <= possible + 1e-6,
+        "{v:?}"
+    );
+}
+
+#[test]
+fn prob_payloads_carry_ordered_summaries_and_never_the_raw_pmf() {
+    let server = start(32);
+    let addr = server.addr();
+    let id = upload(addr, "oem", &generate_csv(42));
+
+    let res = session_result(addr, "prob-analyze", &id);
+    assert_has_keys(&res, "scenario quantum_ns expected_missed certain_missed");
+    assert_has_keys(&res, "possible_missed error_model stuffing backend");
+    assert_missed_bracket(&res);
+    let messages = res.get("messages").and_then(Value::as_arr).expect("array");
+    assert_eq!(messages.len(), 64);
+    let mut dists = 0;
+    for m in messages {
+        assert_has_keys(m, "name id deadline_ns miss_probability");
+        let p = m.get("miss_probability").and_then(Value::as_f64);
+        assert!(p.is_some_and(|p| (0.0..=1.0).contains(&p)), "{m:?}");
+        let Some(d) = m.get("dist") else {
+            assert_has_keys(m, "diagnostic");
+            continue;
+        };
+        dists += 1;
+        assert_has_keys(d, "bcrt_ns wcrt_ns p50_ns p95_ns p99_ns");
+        assert_has_keys(d, "support_min_ns support_max_ns bins total_mass");
+        assert!(d.get("pmf").is_none(), "the raw PMF stays off the wire");
+        let quantiles: Vec<u64> = ["bcrt_ns", "p50_ns", "p95_ns", "p99_ns"]
+            .iter()
+            .map(|key| d.get(key).and_then(Value::as_u64).expect(key))
+            .collect();
+        assert!(quantiles.windows(2).all(|w| w[0] <= w[1]), "{d:?}");
+        let mass = d.get("total_mass").and_then(Value::as_f64).expect("mass");
+        assert!((mass - 1.0).abs() < 1e-6, "{d:?}");
+    }
+    assert!(dists > 0, "no bounded message to check");
+
+    let res = session_result(addr, "prob-loss", &id);
+    let points = res.get("points").and_then(Value::as_arr).expect("array");
+    assert_eq!(points.len(), 13);
+    for p in points {
+        assert_has_keys(p, "jitter_ratio expected_missed certain_missed");
+        assert_has_keys(p, "possible_missed total failed");
+        assert_missed_bracket(p);
+        let count = |key: &str| p.get(key).and_then(Value::as_u64).expect(key);
+        assert!(count("possible_missed") <= count("total"), "{p:?}");
+    }
     server.stop();
 }
 
@@ -280,6 +378,7 @@ fn flooding_tenant_degrades_and_sheds_while_the_other_tenant_is_untouched() {
     assert_eq!(metric("server.requests.shed"), 1.0, "{body}");
     assert_eq!(metric("server.requests.degraded"), 1.0, "{body}");
     assert_eq!(metric("server.sessions.uploaded"), 2.0, "{body}");
+    assert!(metric("engine.cache.misses") >= 1.0, "{body}");
     let (status, _) = http(addr, "GET", "/v1/healthz", None, "");
     assert_eq!(status, 200);
     let (body, metric) = metrics_of(idle.addr());
@@ -298,6 +397,7 @@ fn metrics_of(addr: SocketAddr) -> (String, impl Fn(&str) -> f64) {
         doc.get("schema").and_then(Value::as_str),
         Some("carta.metrics.v1")
     );
+    assert_has_keys(&doc, "command wall_ms metrics derived");
     let metric = move |name: &str| {
         doc.get("metrics")
             .and_then(|m| m.get(name))
@@ -356,6 +456,8 @@ fn the_error_surface_uses_stable_codes_and_statuses() {
     );
     assert_eq!(status, 400);
     assert!(body.contains("unsupported schema"), "{body}");
+    let err = wire::decode_error(&body).expect("error envelope");
+    assert_eq!(err.code, ErrorCode::RequestInvalid);
 
     // Junk CSV upload → 422 model.invalid, and nothing is stored.
     let (status, body) = http(

@@ -1,9 +1,7 @@
-//! Network dimensioning and risk management — the forward-looking uses
-//! of the analysis from the paper's conclusion: "OEMs can evaluate
-//! different network choices upfront … dimension optimized and robust
-//! buses with known extensibility" and run "a multi-supplier
-//! risk-management, possibly in combination with a penalty-reward
-//! model".
+//! Network dimensioning — a forward-looking use of the analysis from
+//! the paper's conclusion: "OEMs can evaluate different network
+//! choices upfront … dimension optimized and robust buses with known
+//! extensibility".
 //!
 //! Run with: `cargo run --release --example network_dimensioning`
 
@@ -65,43 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         {
             println!("gateway {name}: a 10 ms routing cycle needs a queue of {depth} frames");
         }
-    }
-
-    // --- 3. Multi-supplier risk --------------------------------------------
-    println!("\n--- multi-supplier risk (50 % jitter slip, penalty 10/loss) ---\n");
-    let assumed = with_assumed_unknown_jitter(&net, 0.15);
-    // Suppliers own the nodes' messages; EMS is in-house (guaranteed).
-    let mut commitments = Vec::new();
-    for m in assumed.messages() {
-        let node = &assumed.nodes()[m.sender].name;
-        let (supplier, status) = match node.as_str() {
-            "EMS" => ("in-house".to_string(), CommitmentStatus::Guaranteed),
-            other => (format!("{other} supplier"), CommitmentStatus::Committed),
-        };
-        commitments.push(Commitment {
-            supplier,
-            message: m.name.clone(),
-            status,
-        });
-    }
-    let report = assess_suppliers(&assumed, &scenario, &commitments, &RiskConfig::default())?;
-    println!("baseline deadline misses: {}\n", report.baseline_missed);
-    println!(
-        "{:<20} {:>9} {:>10} {:>13} {:>8}",
-        "supplier", "messages", "slippable", "added losses", "score"
-    );
-    for s in &report.suppliers {
-        println!(
-            "{:<20} {:>9} {:>10} {:>13} {:>8.1}",
-            s.supplier, s.messages, s.slippable, s.added_losses, s.score
-        );
-    }
-    match report.most_critical() {
-        Some(s) => println!(
-            "\nrisk focus: `{}` — tighten its contract first (penalty-reward per ref. [14])",
-            s.supplier
-        ),
-        None => println!("\nno supplier slip endangers the integration at this slip factor"),
     }
     Ok(())
 }

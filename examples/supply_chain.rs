@@ -112,22 +112,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.assumed_remaining()
     );
 
-    // --- 6. Multi-round negotiation (Sec. 5.2) -----------------------------
-    // Suppose the supplier's capability misses the first budget: the
-    // negotiation freezes what fits, re-derives budgets from the freed
-    // slack, and retries.
-    let mut capability = Datasheet::new("TCU supplier");
-    for (name, model) in datasheet.iter() {
-        capability.guarantee(name, *model);
-    }
-    let outcome = negotiate(&net, &Scenario::worst_case(), tcu, &capability, 6)?;
-    println!(
-        "\nnegotiation: {} round(s), {} agreed, {} unresolved",
-        outcome.rounds.len(),
-        outcome.agreed.len(),
-        outcome.unresolved.len()
-    );
-
     // And the dual direction: the OEM guarantees arrival timing, which
     // the supplier checks against its freshness needs.
     let (arrivals, unguaranteed) =

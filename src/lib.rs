@@ -24,7 +24,7 @@
 //! | [`obs`] | `carta-obs` | metrics registry, scoped-span tracing, sinks |
 //! | [`explore`] | `carta-explore` | what-if scenarios, sensitivity, loss, extensibility |
 //! | [`optim`] | `carta-optim` | SPEA2 and CAN-ID optimization |
-//! | [`contract`] | `carta-contract` | datasheets, compatibility, duality, refinement |
+//! | [`contract`] | `carta-contract` | datasheets, compatibility, duality, scopes, refinement |
 //!
 //! ## Quickstart
 //!

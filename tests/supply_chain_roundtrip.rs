@@ -124,41 +124,6 @@ fn oem_guarantees_receivers_under_committed_requirements() {
 }
 
 #[test]
-fn negotiation_freezes_budgets_on_the_case_study() {
-    let net = with_assumed_unknown_jitter(&case_study(), 0.25);
-    let scenario = Scenario::sporadic_errors(Time::from_ms(20));
-    let tcu = 1;
-    // The supplier's true capability: half of whatever the OEM would
-    // budget under the initial (pessimistic) assumptions.
-    let initial_budgets = oem_send_requirements(&net, &scenario, tcu, 0.9, 0.8).expect("valid");
-    let mut capability = Datasheet::new("TCU supplier");
-    for (name, bound) in initial_budgets.iter() {
-        capability.guarantee(
-            name,
-            EventModel::new(
-                bound.kind(),
-                bound.period(),
-                bound.jitter() / 2,
-                bound.dmin(),
-            ),
-        );
-    }
-    let outcome = negotiate(&net, &scenario, tcu, &capability, 6).expect("valid");
-    assert!(outcome.converged(), "unresolved: {:?}", outcome.unresolved);
-    assert_eq!(outcome.agreed.len(), capability.len());
-    // Frozen values are the capability values, and re-analyzing with
-    // them committed keeps the bus at least as healthy as before.
-    let mut committed = net.clone();
-    for (name, model) in outcome.agreed.iter() {
-        let (idx, _) = committed.message_by_name(name).expect("present");
-        committed.messages_mut()[idx].activation = *model;
-    }
-    let before = scenario.analyze(&net).expect("valid").missed_count();
-    let after = scenario.analyze(&committed).expect("valid").missed_count();
-    assert!(after <= before);
-}
-
-#[test]
 fn csv_pipeline_feeds_the_whole_stack() {
     // K-Matrix CSV → network → analysis → datasheet → CSV again.
     let matrix = powertrain_default();
