@@ -22,9 +22,9 @@
 //! (`⌈t/quantum⌉`), so a quantized value never under-states the
 //! duration it stands for — quantization is always pessimistic.
 //! Consequently [`Pmf::cdf_at`] sums only bins whose upper-edge value
-//! is `≤ t` (floor semantics), which makes the reported CDF a *lower*
-//! bound on the true probability of meeting any deadline, and the
-//! reported deadline-miss probability an *upper* bound.
+//! is `≤ t` (floor semantics), so binning never lowers the hit model's
+//! miss probability. That model is *not* an upper bound on the true
+//! one: it ignores the interference a hit's longer busy window admits.
 //!
 //! # Dominance guarantee
 //!
@@ -294,7 +294,7 @@ pub struct ProbDist {
     pub bcrt: Time,
     /// Deterministic worst-case response time (pessimistic envelope).
     pub wcrt: Time,
-    /// Upper bound on the deadline-miss probability
+    /// The hit model's deadline-miss probability, not an upper bound
     /// (`1 − cdf(deadline)`, forced to 0 when the deterministic WCRT
     /// already meets the deadline — quantization never overrules a
     /// deterministic guarantee).

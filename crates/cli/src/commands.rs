@@ -275,8 +275,9 @@ fn rates_from(args: &ParsedArgs) -> Result<Vec<u64>, Box<dyn Error>> {
             .map(|s| {
                 s.trim()
                     .parse::<u64>()
-                    .map(|kbps| kbps * 1000)
-                    .map_err(|_| {
+                    .ok()
+                    .and_then(|kbps| kbps.checked_mul(1000))
+                    .ok_or_else(|| {
                         Box::new(ParseArgsError(format!("invalid rate `{s}`"))) as Box<dyn Error>
                     })
             })
@@ -506,6 +507,16 @@ mod tests {
         assert!(out.contains("250"));
         assert!(out.contains("500"));
         assert!(!out.contains("125 "));
+    }
+
+    #[test]
+    fn dimension_rejects_a_rate_that_overflows_bit_per_s() {
+        // 18446744073709552 kbit/s is past u64::MAX bit/s: refused,
+        // not wrapped to a 384 bit/s row.
+        let err = run_line(&["dimension", "-", "--rates", "250,18446744073709552"])
+            .expect_err("overflow");
+        assert!(err.to_string().contains("invalid rate"), "{err}");
+        assert_eq!(exit_code_for(err.as_ref()), 2);
     }
 
     #[test]

@@ -214,8 +214,8 @@ fn render_prob_analyze(a: &ProbAnalyzeReport) -> RenderResult {
     )?;
     writeln!(
         out,
-        "binning quantum {} — distributions are pessimistic bounds; miss \
-         probabilities are guaranteed 0 only where the worst case meets the deadline",
+        "binning quantum {} — support within [BCRT, WCRT]; a miss probability is 0 \
+         where the worst case meets the deadline, elsewhere an estimate, not an upper bound",
         report.quantum
     )?;
     Ok(out)

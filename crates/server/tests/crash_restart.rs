@@ -1,142 +1,50 @@
-//! Crash-restart recovery against the real `carta-server` binary:
-//! upload sessions with persistence on, `SIGKILL` the process, tear
-//! the log tail the way an interrupted append would, restart on the
-//! same state dir, and require that every *acked* session resolves
-//! with a bit-identical analysis while the torn tail is truncated.
+//! Crash-restart recovery and shutdown against the real `carta-server`
+//! binary: every *acked* session survives `SIGKILL` with a
+//! bit-identical analysis, whether the kill tears the log tail or lands
+//! on live uploads, and `SIGTERM` drains to exit status 0.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+mod common;
 
-/// The server under test, killed hard on drop so a failing assert
-/// never leaks a process.
-struct ServerProc {
-    child: Child,
-    addr: String,
-}
+use carta_api::prelude::{Handler, Model, Request, ScenarioSpec};
+use carta_api::wire;
+use common::{analyze_session, generate_csv, metrics_of, request, session_id, upload, ServerProc};
+use std::io::Write;
+use std::path::PathBuf;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
-impl ServerProc {
-    fn launch(state_dir: &std::path::Path) -> ServerProc {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_carta-server"))
-            .env("CARTA_SERVER_ADDR", "127.0.0.1:0")
-            .env("CARTA_SERVER_STATE_DIR", state_dir)
-            .env("CARTA_SERVER_WORKERS", "2")
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawns carta-server");
-        // The binary prints its actual (OS-chosen) address on stderr;
-        // parse it fresh on every launch so restarts never race a
-        // lingering socket on a fixed port.
-        let stderr = child.stderr.take().expect("piped stderr");
-        let mut lines = BufReader::new(stderr).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .expect("stderr open until the listen line")
-                .expect("readable stderr");
-            if let Some(rest) = line.split("listening on http://").nth(1) {
-                break rest
-                    .split_whitespace()
-                    .next()
-                    .expect("address token")
-                    .to_string();
-            }
-        };
-        // Keep draining stderr so the child never blocks on a full pipe.
-        std::thread::spawn(move || for _ in lines {});
-        ServerProc { child, addr }
+/// A per-test state directory, removed on drop: also when an
+/// assertion fails.
+struct StateDir(PathBuf);
+
+impl StateDir {
+    fn new(tag: &str) -> StateDir {
+        let dir = std::env::temp_dir().join(format!("carta-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        StateDir(dir)
     }
 
-    fn kill_hard(&mut self) {
-        let _ = self.child.kill(); // SIGKILL on unix: no drain, no fsync flush
-        let _ = self.child.wait();
-    }
-
-    /// One `connection: close` request; returns status and body.
-    fn request(&self, method: &str, path: &str, tenant: Option<&str>, body: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(&self.addr).expect("connects");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
-        let tenant_header = tenant
-            .map(|t| format!("x-carta-tenant: {t}\r\n"))
-            .unwrap_or_default();
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nhost: carta\r\nconnection: close\r\n{tenant_header}content-length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("writes");
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).expect("reads");
-        let status = raw
-            .split_whitespace()
-            .nth(1)
-            .expect("status line")
-            .parse()
-            .expect("numeric status");
-        let body = raw
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_string())
-            .unwrap_or_default();
-        (status, body)
+    fn env(&self) -> (&'static str, &str) {
+        let dir = self.0.to_str().expect("utf-8 temp dir");
+        ("CARTA_SERVER_STATE_DIR", dir)
     }
 }
 
-impl Drop for ServerProc {
+impl Drop for StateDir {
     fn drop(&mut self) {
-        self.kill_hard();
+        let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-fn session_id(body: &str) -> String {
-    let doc = carta_obs::json::parse(body).expect("session envelope");
-    doc.get("result")
-        .and_then(|r| r.get("id"))
-        .and_then(carta_obs::json::Value::as_str)
-        .expect("session id")
-        .to_string()
-}
-
-fn analyze_body(id: &str) -> String {
-    format!(
-        r#"{{"schema":"carta.api.v1","request":"analyze","params":{{"model":{{"source":{{"kind":"session","id":"{id}"}}}},"scenario":"worst"}}}}"#
-    )
 }
 
 #[test]
 fn acked_sessions_survive_sigkill_and_torn_tails_are_truncated() {
-    let state_dir = std::env::temp_dir().join(format!("carta-crash-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&state_dir);
-
-    // Generate distinct matrices through the API itself.
-    let mut server = ServerProc::launch(&state_dir);
+    let state = StateDir::new("crash");
+    let mut server = ServerProc::launch(&[state.env()]);
     let mut acked: Vec<(String, String, String)> = Vec::new(); // (id, csv, report)
     for seed in [11u64, 22, 33] {
-        let (status, body) = server.request(
-            "POST",
-            "/v1/requests",
-            Some("oem"),
-            &format!(
-                r#"{{"schema":"carta.api.v1","request":"generate","params":{{"seed":{seed}}}}}"#
-            ),
-        );
-        assert_eq!(status, 200, "{body}");
-        let csv = carta_obs::json::parse(&body)
-            .expect("matrix envelope")
-            .get("result")
-            .and_then(|r| r.get("csv"))
-            .and_then(carta_obs::json::Value::as_str)
-            .expect("csv")
-            .to_string();
-        let (status, body) = server.request("POST", "/v1/tenants/oem/sessions", None, &csv);
-        assert_eq!(status, 201, "ack required before the crash: {body}");
-        let id = session_id(&body);
-        let (status, report) =
-            server.request("POST", "/v1/requests", Some("oem"), &analyze_body(&id));
+        let csv = generate_csv(seed);
+        let id = upload(server.addr, "oem", &csv);
+        let (status, report) = analyze_session(server.addr, "oem", &id);
         assert_eq!(status, 200, "{report}");
         acked.push((id, csv, report));
     }
@@ -144,7 +52,7 @@ fn acked_sessions_survive_sigkill_and_torn_tails_are_truncated() {
     // Crash hard, then simulate the torn append a mid-write SIGKILL
     // leaves behind: a partial JSONL line with no newline.
     server.kill_hard();
-    let log_path = state_dir.join("sessions.jsonl");
+    let log_path = state.0.join("sessions.jsonl");
     let committed_len = std::fs::metadata(&log_path).expect("log exists").len();
     let torn = br#"{"v":"carta.state.v1","tenant":"oem","id":"s4","csv":"never-ack"#;
     let mut log = std::fs::OpenOptions::new()
@@ -154,34 +62,25 @@ fn acked_sessions_survive_sigkill_and_torn_tails_are_truncated() {
     log.write_all(torn).expect("tears the tail");
     drop(log);
 
-    // Restart on the same state dir.
-    let server = ServerProc::launch(&state_dir);
-
-    // The restarted server counts its own replay in `/v1/metrics`.
-    let (status, body) = server.request("GET", "/v1/metrics", None, "");
-    assert_eq!(status, 200, "{body}");
-    let doc = carta_obs::json::parse(&body).expect("metrics document");
-    let counter = |name: &str| {
-        doc.get("metrics")
-            .and_then(|m| m.get(name))
-            .and_then(carta_obs::json::Value::as_f64)
-    };
+    // Restart on the same state dir; the restarted server counts its
+    // own replay in `/v1/metrics`.
+    let server = ServerProc::launch(&[state.env()]);
+    let (body, metric) = metrics_of(server.addr);
     assert_eq!(
-        counter("server.state.replayed"),
-        Some(acked.len() as f64),
+        metric("server.state.replayed"),
+        acked.len() as f64,
         "{body}"
     );
     assert_eq!(
-        counter("server.state.truncated_bytes"),
-        Some(torn.len() as f64),
+        metric("server.state.truncated_bytes"),
+        torn.len() as f64,
         "{body}"
     );
 
     // Every acked session resolves, and its analysis is bit-identical
     // on the wire to the pre-crash run.
     for (id, _, before) in &acked {
-        let (status, after) =
-            server.request("POST", "/v1/requests", Some("oem"), &analyze_body(id));
+        let (status, after) = analyze_session(server.addr, "oem", id);
         assert_eq!(status, 200, "acked session {id} lost: {after}");
         assert_eq!(
             &after, before,
@@ -191,7 +90,7 @@ fn acked_sessions_survive_sigkill_and_torn_tails_are_truncated() {
 
     // The torn (never-acked) record is gone — both from the API and
     // from the repaired log file.
-    let (status, body) = server.request("POST", "/v1/requests", Some("oem"), &analyze_body("s4"));
+    let (status, body) = analyze_session(server.addr, "oem", "s4");
     assert_eq!(status, 404, "torn session must not resurrect: {body}");
     assert_eq!(
         std::fs::metadata(&log_path).expect("log exists").len(),
@@ -200,10 +99,123 @@ fn acked_sessions_survive_sigkill_and_torn_tails_are_truncated() {
     );
 
     // Fresh uploads continue the id sequence past the restored ones.
-    let (status, body) = server.request("POST", "/v1/tenants/oem/sessions", None, &acked[0].1);
-    assert_eq!(status, 201, "{body}");
-    assert_eq!(session_id(&body), "s4", "ids continue after restore");
+    let id = upload(server.addr, "oem", &acked[0].1);
+    assert_eq!(id, "s4", "ids continue after restore");
+}
 
-    drop(server);
-    let _ = std::fs::remove_dir_all(&state_dir);
+/// The soak's fleet: each client uploads to its own tenant in a loop,
+/// and the server is killed once each cycle has `CLIENTS × ACKS` new
+/// acks, so every kill lands while the fleet is still sending.
+const CLIENTS: usize = 3;
+const CYCLES: usize = 3;
+const ACKS: usize = 2;
+/// A per-tenant session quota the whole log fits in, so no eviction
+/// can hide or fake a lost ack.
+const MAX_SESSIONS: usize = 64;
+
+/// The envelope a fresh in-process handler produces for this CSV:
+/// the bit-identity reference for post-restart responses.
+fn reference_envelope(csv: &str) -> String {
+    let resp = Handler::default()
+        .handle(&Request::Analyze {
+            model: Model::from_csv(csv.to_string()),
+            scenario: ScenarioSpec::Worst,
+        })
+        .expect("reference analyze");
+    wire::encode_response(&resp)
+}
+
+#[test]
+fn kill_9_under_live_uploads_loses_no_acked_session() {
+    let state = StateDir::new("soak");
+    let quota = MAX_SESSIONS.to_string();
+    // A wide-open admission budget: the soak checks replay, not
+    // shedding, and a degraded analyze would not be bit-identical.
+    let env = [
+        state.env(),
+        ("CARTA_SERVER_MAX_SESSIONS", quota.as_str()),
+        ("CARTA_SERVER_BUDGET", "1000"),
+    ];
+    let mut acked: Vec<(String, String, Arc<String>)> = Vec::new(); // (tenant, id, reference)
+    let mut server = ServerProc::launch(&env);
+    for cycle in 0..CYCLES {
+        let (tx, rx) = mpsc::channel();
+        let fleet: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let tenant = format!("fleet-{client}");
+                let csv = generate_csv((cycle * CLIENTS + client) as u64);
+                let reference = Arc::new(reference_envelope(&csv));
+                let (addr, tx) = (server.addr, tx.clone());
+                let path = format!("/v1/tenants/{tenant}/sessions");
+                std::thread::spawn(move || loop {
+                    match request(addr, "POST", &path, None, &csv) {
+                        Ok((201, _, body)) => {
+                            let ack = (tenant.clone(), session_id(&body), Arc::clone(&reference));
+                            tx.send(ack).expect("the supervisor listens");
+                        }
+                        ended => return ended,
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        for _ in 0..CLIENTS * ACKS {
+            let ack = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|e| panic!("cycle {cycle}: fleet stopped before the kill: {e}"));
+            acked.push(ack);
+        }
+        server.kill_hard();
+        for client in fleet {
+            let ended = client.join().expect("client thread joins");
+            assert!(
+                ended.is_err(),
+                "cycle {cycle}: a client loop ended on a response, not the kill: {ended:?}"
+            );
+        }
+        acked.extend(rx.try_iter());
+
+        // Each client had at most one upload in flight at each kill, so
+        // at most that many unacked records may come back.
+        server = ServerProc::launch(&env);
+        let (body, metric) = metrics_of(server.addr);
+        let replayed = metric("server.state.replayed") as usize;
+        let bound = acked.len() + CLIENTS * (cycle + 1);
+        assert!(
+            (acked.len()..=bound).contains(&replayed) && bound < MAX_SESSIONS,
+            "cycle {cycle}: {} acked, {replayed} replayed, quota {MAX_SESSIONS}: {body}",
+            acked.len()
+        );
+        for (tenant, id, reference) in &acked {
+            let (status, body) = analyze_session(server.addr, tenant, id);
+            assert_eq!(
+                status, 200,
+                "cycle {cycle}: acked session {tenant}/{id} lost: {body}"
+            );
+            assert_eq!(
+                &body,
+                reference.as_ref(),
+                "cycle {cycle}: {tenant}/{id} not bit-identical after restart"
+            );
+        }
+    }
+}
+
+/// `SIGTERM` drains and exits 0 within the drain budget:
+/// orchestrators see a clean stop, not a crash.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_and_exits_zero() {
+    let mut server = ServerProc::launch(&[("CARTA_SERVER_DRAIN_MS", "2000")]);
+    server.sigterm();
+    // The 2 s drain budget plus a 5 s margin.
+    let deadline = Instant::now() + Duration::from_secs(7);
+    let status = loop {
+        if let Some(status) = server.child.try_wait().expect("waitable child") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "no exit within the drain budget");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "SIGTERM must exit 0, got {status}");
 }

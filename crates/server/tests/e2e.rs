@@ -6,11 +6,14 @@
 //! Every test spins its own server on an ephemeral port (`:0`) with a
 //! 60 s admission window so budget arithmetic is deterministic.
 
+mod common;
+
 use carta_api::prelude::{ErrorCode, Handler, Model, Request, Response, ScenarioSpec};
 use carta_api::wire;
 use carta_engine::prelude::Parallelism;
 use carta_obs::json::{self, Value};
 use carta_server::{Server, ServerConfig, ServerHandle};
+use common::{analyze_session, generate_csv, metrics_of, request, upload};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -31,92 +34,6 @@ fn start_with(config: ServerConfig) -> ServerHandle {
         .expect("accept loop spawns")
 }
 
-/// One request over a fresh connection. Sends `connection: close` so
-/// the keep-alive server closes after the response and `read_to_string`
-/// terminates; keep-alive itself is exercised by dedicated tests.
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    tenant: Option<&str>,
-    body: &str,
-) -> (u16, String) {
-    let (status, _headers, body) = http_full(addr, method, path, tenant, body);
-    (status, body)
-}
-
-/// Like [`http`] but also returns the raw header block for tests that
-/// assert on response headers (`retry-after`).
-fn http_full(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    tenant: Option<&str>,
-    body: &str,
-) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connects");
-    let tenant_header = tenant
-        .map(|t| format!("x-carta-tenant: {t}\r\n"))
-        .unwrap_or_default();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nhost: carta\r\nconnection: close\r\n{tenant_header}content-length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("writes the request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("reads to close");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let (headers, body) = raw
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    (status, headers, body)
-}
-
-fn generate_csv(seed: u64) -> String {
-    match Handler::new(Parallelism::sequential())
-        .handle(&Request::Generate { seed })
-        .expect("generates")
-    {
-        Response::Matrix { csv } => csv,
-        other => panic!("wrong response kind {}", other.kind()),
-    }
-}
-
-fn upload(addr: SocketAddr, tenant: &str, csv: &str) -> String {
-    let (status, body) = http(
-        addr,
-        "POST",
-        &format!("/v1/tenants/{tenant}/sessions"),
-        None,
-        csv,
-    );
-    assert_eq!(status, 201, "{body}");
-    let doc = json::parse(&body).expect("valid session envelope");
-    assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some(wire::SCHEMA)
-    );
-    assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(true));
-    doc.get("result")
-        .and_then(|r| r.get("id"))
-        .and_then(Value::as_str)
-        .expect("session id")
-        .to_string()
-}
-
-fn analyze_session_body(id: &str) -> String {
-    format!(
-        r#"{{"schema":"carta.api.v1","request":"analyze","params":{{"model":{{"source":{{"kind":"session","id":"{id}"}}}},"scenario":"worst"}}}}"#
-    )
-}
-
 /// The members of `value` named in `keys` (whitespace-separated) are
 /// all present.
 fn assert_has_keys(value: &Value, keys: &str) {
@@ -129,20 +46,14 @@ fn assert_has_keys(value: &Value, keys: &str) {
 fn uploaded_session_analysis_is_bit_identical_to_a_direct_evaluator_run() {
     let server = start(32);
     let addr = server.addr();
-    let (status, body) = http(addr, "GET", "/v1/healthz", None, "");
+    let (status, _, body) = request(addr, "GET", "/v1/healthz", None, "").expect("round-trip");
     assert_eq!(status, 200, "{body}");
     let health = json::parse(&body).expect("valid health document");
     assert_eq!(health.get("ok").and_then(Value::as_bool), Some(true));
     let csv = generate_csv(42);
     let id = upload(addr, "oem", &csv);
 
-    let (status, body) = http(
-        addr,
-        "POST",
-        "/v1/requests",
-        Some("oem"),
-        &analyze_session_body(&id),
-    );
+    let (status, body) = analyze_session(addr, "oem", &id);
     assert_eq!(status, 200, "{body}");
     let doc = json::parse(&body).expect("valid response envelope");
     assert_eq!(
@@ -179,17 +90,18 @@ fn uploaded_session_analysis_is_bit_identical_to_a_direct_evaluator_run() {
     server.stop();
 }
 
-/// Sends `request` on `session` for the "oem" tenant and returns the
-/// `result` of its 200 envelope.
-fn session_result(addr: SocketAddr, request: &str, session: &str) -> Value {
+/// Sends a `kind` request on `session` for the "oem" tenant and
+/// returns the `result` of its 200 envelope.
+fn session_result(addr: SocketAddr, kind: &str, session: &str) -> Value {
     let body = format!(
-        r#"{{"schema":"carta.api.v1","request":"{request}","params":{{"model":{{"source":{{"kind":"session","id":"{session}"}}}},"scenario":"worst"}}}}"#
+        r#"{{"schema":"carta.api.v1","request":"{kind}","params":{{"model":{{"source":{{"kind":"session","id":"{session}"}}}},"scenario":"worst"}}}}"#
     );
-    let (status, body) = http(addr, "POST", "/v1/requests", Some("oem"), &body);
+    let (status, _, body) =
+        request(addr, "POST", "/v1/requests", Some("oem"), &body).expect("round-trip");
     assert_eq!(status, 200, "{body}");
     let doc = json::parse(&body).expect("valid response envelope");
     assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(true));
-    assert_eq!(doc.get("kind").and_then(Value::as_str), Some(request));
+    assert_eq!(doc.get("kind").and_then(Value::as_str), Some(kind));
     doc.get("result").expect("result").clone()
 }
 
@@ -276,13 +188,7 @@ fn flooding_tenant_degrades_and_sheds_while_the_other_tenant_is_untouched() {
 
     // Request 1 (within budget): a full analysis — degraded because
     // the *model* is overloaded, with the flood diagnosed.
-    let (status, body) = http(
-        addr,
-        "POST",
-        "/v1/requests",
-        Some("supplier"),
-        &analyze_session_body(&flooded_id),
-    );
+    let (status, body) = analyze_session(addr, "supplier", &flooded_id);
     assert_eq!(
         status, 200,
         "an overloaded model is a report, not an error: {body}"
@@ -299,13 +205,7 @@ fn flooding_tenant_degrades_and_sheds_while_the_other_tenant_is_untouched() {
     );
 
     // Request 2 burns the rest of the budget.
-    let (status, _) = http(
-        addr,
-        "POST",
-        "/v1/requests",
-        Some("supplier"),
-        &analyze_session_body(&flooded_id),
-    );
+    let (status, _) = analyze_session(addr, "supplier", &flooded_id);
     assert_eq!(status, 200);
 
     // Request 3 is over budget and heavy: shed with `admission.shed`.
@@ -313,7 +213,7 @@ fn flooding_tenant_degrades_and_sheds_while_the_other_tenant_is_untouched() {
         r#"{{"schema":"carta.api.v1","request":"loss","params":{{"model":{{"source":{{"kind":"session","id":"{flooded_id}"}}}},"scenario":"worst"}}}}"#
     );
     let (status, headers, body) =
-        http_full(addr, "POST", "/v1/requests", Some("supplier"), &loss_body);
+        request(addr, "POST", "/v1/requests", Some("supplier"), &loss_body).expect("round-trip");
     assert_eq!(status, 429, "{body}");
     let err = wire::decode_error(&body).expect("error envelope");
     assert_eq!(err.code, ErrorCode::AdmissionShed);
@@ -328,13 +228,7 @@ fn flooding_tenant_degrades_and_sheds_while_the_other_tenant_is_untouched() {
 
     // Request 4 is over budget but `analyze`: an immediate partial
     // report under a strangled iteration budget — DEGRADED, not 429.
-    let (status, body) = http(
-        addr,
-        "POST",
-        "/v1/requests",
-        Some("supplier"),
-        &analyze_session_body(&flooded_id),
-    );
+    let (status, body) = analyze_session(addr, "supplier", &flooded_id);
     assert_eq!(
         status, 200,
         "pressure analyze degrades instead of shedding: {body}"
@@ -347,13 +241,7 @@ fn flooding_tenant_degrades_and_sheds_while_the_other_tenant_is_untouched() {
     // bit, flood or no flood next door.
     let clean_csv = generate_csv(42);
     let clean_id = upload(addr, "oem", &clean_csv);
-    let (status, body) = http(
-        addr,
-        "POST",
-        "/v1/requests",
-        Some("oem"),
-        &analyze_session_body(&clean_id),
-    );
+    let (status, body) = analyze_session(addr, "oem", &clean_id);
     assert_eq!(status, 200, "{body}");
     let oem_report = wire::decode_analyze(&body).expect("decodes");
     assert!(!oem_report.report.is_degraded());
@@ -379,32 +267,12 @@ fn flooding_tenant_degrades_and_sheds_while_the_other_tenant_is_untouched() {
     assert_eq!(metric("server.requests.degraded"), 1.0, "{body}");
     assert_eq!(metric("server.sessions.uploaded"), 2.0, "{body}");
     assert!(metric("engine.cache.misses") >= 1.0, "{body}");
-    let (status, _) = http(addr, "GET", "/v1/healthz", None, "");
+    let (status, _, _) = request(addr, "GET", "/v1/healthz", None, "").expect("round-trip");
     assert_eq!(status, 200);
     let (body, metric) = metrics_of(idle.addr());
     assert_eq!(metric("server.requests.accepted"), 0.0, "{body}");
     idle.stop();
     server.stop();
-}
-
-/// `GET /v1/metrics`: the body, and a lookup of its counters (0 when
-/// absent).
-fn metrics_of(addr: SocketAddr) -> (String, impl Fn(&str) -> f64) {
-    let (status, body) = http(addr, "GET", "/v1/metrics", None, "");
-    assert_eq!(status, 200, "{body}");
-    let doc = json::parse(&body).expect("valid metrics document");
-    assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some("carta.metrics.v1")
-    );
-    assert_has_keys(&doc, "command wall_ms metrics derived");
-    let metric = move |name: &str| {
-        doc.get("metrics")
-            .and_then(|m| m.get(name))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0)
-    };
-    (body, metric)
 }
 
 #[test]
@@ -413,13 +281,7 @@ fn the_error_surface_uses_stable_codes_and_statuses() {
     let addr = server.addr();
 
     // Unknown session → 404 session.not_found.
-    let (status, body) = http(
-        addr,
-        "POST",
-        "/v1/requests",
-        Some("oem"),
-        &analyze_session_body("s99"),
-    );
+    let (status, body) = analyze_session(addr, "oem", "s99");
     assert_eq!(status, 404, "{body}");
     let err = wire::decode_error(&body).expect("error envelope");
     assert_eq!(err.code, ErrorCode::SessionNotFound);
@@ -431,50 +293,48 @@ fn the_error_surface_uses_stable_codes_and_statuses() {
 
     // Sessions are tenant-scoped: another tenant's id does not leak.
     let id = upload(addr, "oem", &generate_csv(42));
-    let (status, _) = http(
-        addr,
-        "POST",
-        "/v1/requests",
-        Some("supplier"),
-        &analyze_session_body(&id),
-    );
+    let (status, _) = analyze_session(addr, "supplier", &id);
     assert_eq!(status, 404);
 
     // Malformed JSON → 400 request.invalid.
-    let (status, body) = http(addr, "POST", "/v1/requests", None, "{nope");
+    let (status, _, body) =
+        request(addr, "POST", "/v1/requests", None, "{nope").expect("round-trip");
     assert_eq!(status, 400);
     let err = wire::decode_error(&body).expect("error envelope");
     assert_eq!(err.code, ErrorCode::RequestInvalid);
 
     // Wrong schema → 400 with the expected-schema message.
-    let (status, body) = http(
+    let (status, _, body) = request(
         addr,
         "POST",
         "/v1/requests",
         None,
         r#"{"schema":"carta.api.v2","request":"analyze"}"#,
-    );
+    )
+    .expect("round-trip");
     assert_eq!(status, 400);
     assert!(body.contains("unsupported schema"), "{body}");
     let err = wire::decode_error(&body).expect("error envelope");
     assert_eq!(err.code, ErrorCode::RequestInvalid);
 
     // Junk CSV upload → 422 model.invalid, and nothing is stored.
-    let (status, body) = http(
+    let (status, _, body) = request(
         addr,
         "POST",
         "/v1/tenants/oem/sessions",
         None,
         "not,a,kmatrix",
-    );
+    )
+    .expect("round-trip");
     assert_eq!(status, 422, "{body}");
     let err = wire::decode_error(&body).expect("error envelope");
     assert_eq!(err.code, ErrorCode::ModelInvalid);
 
     // Bad tenant names and unknown routes.
-    let (status, _) = http(addr, "POST", "/v1/tenants/a%2Fb/sessions", None, "x,y");
+    let (status, _, _) =
+        request(addr, "POST", "/v1/tenants/a%2Fb/sessions", None, "x,y").expect("round-trip");
     assert_eq!(status, 400);
-    let (status, _) = http(addr, "GET", "/v2/everything", None, "");
+    let (status, _, _) = request(addr, "GET", "/v2/everything", None, "").expect("round-trip");
     assert_eq!(status, 404);
     server.stop();
 }
@@ -565,7 +425,7 @@ fn bearer_auth_is_enforced_on_the_wire() {
     let body = r#"{"schema":"carta.api.v1","request":"generate","params":{"seed":1}}"#;
 
     // No credentials: 401 auth.required.
-    let (status, raw) = http(addr, "POST", "/v1/requests", None, body);
+    let (status, _, raw) = request(addr, "POST", "/v1/requests", None, body).expect("round-trip");
     assert_eq!(status, 401, "{raw}");
     let err = wire::decode_error(&raw).expect("error envelope");
     assert_eq!(err.code, ErrorCode::Unauthenticated);
@@ -609,7 +469,8 @@ fn a_zero_deadline_returns_504_with_the_stable_code() {
         },
         Some(0),
     );
-    let (status, raw) = http(addr, "POST", "/v1/requests", Some("oem"), &body);
+    let (status, _, raw) =
+        request(addr, "POST", "/v1/requests", Some("oem"), &body).expect("round-trip");
     assert_eq!(status, 504, "{raw}");
     let err = wire::decode_error(&raw).expect("error envelope");
     assert_eq!(err.code, ErrorCode::DeadlineExceeded);
@@ -623,13 +484,15 @@ fn a_zero_deadline_returns_504_with_the_stable_code() {
         },
         Some(60_000),
     );
-    let (status, with_deadline) = http(addr, "POST", "/v1/requests", Some("oem"), &relaxed);
+    let (status, _, with_deadline) =
+        request(addr, "POST", "/v1/requests", Some("oem"), &relaxed).expect("round-trip");
     assert_eq!(status, 200, "{with_deadline}");
     let plain = wire::encode_request(&Request::Analyze {
         model: Model::case_study(),
         scenario: ScenarioSpec::Worst,
     });
-    let (status, without_deadline) = http(addr, "POST", "/v1/requests", Some("oem"), &plain);
+    let (status, _, without_deadline) =
+        request(addr, "POST", "/v1/requests", Some("oem"), &plain).expect("round-trip");
     assert_eq!(status, 200);
     assert_eq!(
         with_deadline, without_deadline,
