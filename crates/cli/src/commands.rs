@@ -391,31 +391,12 @@ fn cmd_fuzz(args: &ParsedArgs, obs: &Obs) -> CmdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use carta_kmatrix::csv::from_csv;
     use carta_kmatrix::generator::{powertrain_kmatrix, CaseStudyConfig};
 
     fn run_line(line: &[&str]) -> CmdResult {
         run(&ParsedArgs::parse(line.iter().copied()).expect("parses"))
-    }
-
-    #[test]
-    fn help_lists_all_commands() {
-        let text = help_text();
-        for cmd in [
-            "generate",
-            "load",
-            "analyze",
-            "loss",
-            "sensitivity",
-            "audsley",
-            "optimize",
-            "simulate",
-            "dimension",
-            "fuzz",
-        ] {
-            assert!(text.contains(cmd), "help misses `{cmd}`");
-        }
-        assert!(run_line(&["help"]).is_ok());
     }
 
     #[test]
@@ -431,17 +412,6 @@ mod tests {
         assert!(csv.starts_with("#kmatrix,powertrain"));
         let matrix = from_csv(&csv).expect("parses");
         assert_eq!(matrix.rows.len(), 64);
-    }
-
-    #[test]
-    fn load_and_analyze_builtin() {
-        let out = run_line(&["load", "-"]).expect("loads");
-        assert!(out.contains("load (worst-case stuffing)"));
-        assert!(out.contains("backend: can\n"), "{out}");
-        let out = run_line(&["analyze", "-", "--scenario", "best"]).expect("analyzes");
-        assert!(out.contains("0 of 64 messages can be lost"), "{out}");
-        let out = run_line(&["analyze", "-", "--jitter", "40"]).expect("analyzes");
-        assert!(out.contains("LOST"));
     }
 
     #[test]
@@ -463,50 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn loss_curve_runs() {
-        let out = run_line(&["loss", "-", "--scenario", "sporadic:10"]).expect("runs");
-        assert!(out.lines().count() > 13);
-        assert!(out.contains("jitter %"));
-    }
-
-    #[test]
     fn jobs_flag_accepted_and_validated() {
         let sequential = run_line(&["loss", "-", "--jobs", "1"]).expect("runs");
         let parallel = run_line(&["loss", "-", "--jobs", "4"]).expect("runs");
         assert_eq!(sequential, parallel, "job count must not change results");
         let err = run_line(&["loss", "-", "--jobs", "many"]).expect_err("invalid");
         assert!(err.to_string().contains("--jobs"));
-    }
-
-    #[test]
-    fn sensitivity_subset() {
-        let out = run_line(&["sensitivity", "-", "--message", "clutch_torque_1"]).expect("runs");
-        assert!(out.contains("clutch_torque_1"));
-        assert_eq!(out.lines().count(), 3); // header + rule + one row
-    }
-
-    #[test]
-    fn audsley_on_builtin() {
-        let out = run_line(&["audsley", "-", "--jitter", "25"]).expect("runs");
-        assert!(out.contains("feasible assignment found"), "{out}");
-    }
-
-    #[test]
-    fn simulate_with_gantt() {
-        let out = run_line(&[
-            "simulate", "-", "--millis", "100", "--errors", "7", "--gantt",
-        ])
-        .expect("runs");
-        assert!(out.contains("observed utilization"));
-        assert!(out.contains('|'));
-    }
-
-    #[test]
-    fn dimension_custom_rates() {
-        let out = run_line(&["dimension", "-", "--rates", "250,500"]).expect("runs");
-        assert!(out.contains("250"));
-        assert!(out.contains("500"));
-        assert!(!out.contains("125 "));
     }
 
     #[test]
@@ -543,19 +475,11 @@ mod tests {
     }
 
     #[test]
-    fn lint_builtin_surfaces_inversions() {
-        let out = run_line(&["lint", "-"]).expect("runs");
-        assert!(out.contains("rate-inversion"));
-        assert!(out.contains("unknown-jitter"));
-    }
-
-    #[test]
     fn diff_against_self_is_safe() {
         // Write the built-in matrix to a temp file and diff it with a
         // jittered variant of itself.
-        let dir = std::env::temp_dir().join("carta_cli_diff_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let base = dir.join("base.csv");
+        let dir = ScratchDir::new("diff_against_self_is_safe");
+        let base = dir.path("base.csv");
         let csv = run_line(&["generate"]).expect("generates");
         std::fs::write(&base, &csv).expect("write");
         let out = run_line(&[
@@ -568,7 +492,6 @@ mod tests {
         assert!(out.contains("0 regression(s)"));
         let err = run_line(&["diff", base.to_str().expect("utf8")]).expect_err("one path");
         assert!(err.to_string().contains("two"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -583,9 +506,8 @@ mod tests {
 
     #[test]
     fn metrics_json_writes_schema_document() {
-        let dir = std::env::temp_dir().join("carta_cli_metrics_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("metrics.json");
+        let dir = ScratchDir::new("metrics_json_writes_schema_document");
+        let path = dir.path("metrics.json");
         let out =
             run_line(&["loss", "-", "--metrics-json", path.to_str().expect("utf8")]).expect("runs");
         assert!(out.contains("metrics written to"), "{out}");
@@ -608,16 +530,14 @@ mod tests {
             .get("derived")
             .and_then(|d| d.get("points_per_s"))
             .is_some());
-        std::fs::remove_dir_all(&dir).ok();
         let err = run_line(&["loss", "-", "--metrics-json"]).expect_err("needs path");
         assert!(err.to_string().contains("--metrics-json"));
     }
 
     #[test]
     fn trace_flag_writes_replayable_file() {
-        let dir = std::env::temp_dir().join("carta_cli_trace_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("trace.jsonl");
+        let dir = ScratchDir::new("trace_flag_writes_replayable_file");
+        let path = dir.path("trace.jsonl");
         let out =
             run_line(&["analyze", "-", "--trace", path.to_str().expect("utf8")]).expect("runs");
         assert!(out.contains("trace written to"), "{out}");
@@ -628,39 +548,8 @@ mod tests {
             replay.contains("rta.bus") || replay.contains("more events") || replay.contains("us"),
             "{replay}"
         );
-        std::fs::remove_dir_all(&dir).ok();
         let err = run_line(&["trace", "/nonexistent/trace.jsonl"]).expect_err("missing");
         assert!(err.to_string().contains("cannot read trace"));
-    }
-
-    #[test]
-    fn help_lists_observability() {
-        let text = help_text();
-        assert!(text.contains("trace"), "help misses `trace`");
-        assert!(text.contains("--metrics"), "help misses `--metrics`");
-        assert!(
-            text.contains("--metrics-json"),
-            "help misses `--metrics-json`"
-        );
-        assert!(text.contains("--backend"), "help misses `--backend`");
-    }
-
-    #[test]
-    fn fuzz_smoke_holds_every_law() {
-        let out = run_line(&["fuzz", "--cases", "2", "--seed", "2006", "--jobs", "1"])
-            .expect("laws hold");
-        assert!(out.contains("sim-never-exceeds-analysis"), "{out}");
-        assert!(out.contains("jitter-monotonicity"), "{out}");
-        assert!(
-            out.contains("fd-dominates-classic-at-same-payload"),
-            "{out}"
-        );
-        assert!(out.contains("prob-dominates-worst-case"), "{out}");
-        assert!(
-            out.contains("all 12 laws held over 2 cases each (seed 2006)"),
-            "{out}"
-        );
-        assert!(!out.contains("VIOLATED"), "{out}");
     }
 
     #[test]
@@ -708,12 +597,10 @@ mod tests {
         // the flood diverges and is diagnosed, the rest keeps bounds.
         let mut csv = run_line(&["generate", "--seed", "7"]).expect("generates");
         csv.push_str("flood,0x7fa,0,8,50,,,EMS,TCU\n");
-        let dir = std::env::temp_dir().join("carta_cli_degraded_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("flooded.csv");
+        let dir = ScratchDir::new("analyze_renders_degraded_diagnostics");
+        let path = dir.path("flooded.csv");
         std::fs::write(&path, csv).expect("write");
         let out = run_line(&["analyze", path.to_str().expect("utf8")]).expect("analyzes");
-        std::fs::remove_dir_all(&dir).ok();
         assert!(out.contains("DIVERGED"), "{out}");
         assert!(out.contains("DEGRADED REPORT"), "{out}");
         assert!(out.contains("`flood`"), "{out}");
@@ -739,9 +626,8 @@ mod tests {
         assert!(err.to_string().contains("cannot read repro"));
         assert_eq!(exit_code_for(err.as_ref()), 66);
 
-        let dir = std::env::temp_dir().join("carta_cli_fuzz_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("repro.json");
+        let dir = ScratchDir::new("fuzz_replays_repro_files");
+        let path = dir.path("repro.json");
         let repro = Repro {
             law: "load-schedulability".into(),
             seed: 11,
@@ -756,15 +642,13 @@ mod tests {
         std::fs::write(&path, "{\"schema\":\"nope\"}").expect("write");
         let err = run_line(&["fuzz", "--repro", path.to_str().expect("utf8")]).expect_err("bad");
         assert!(err.to_string().contains("invalid repro"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn repro_with_a_retired_law_is_an_invalid_request_not_a_violation() {
         use carta_testkit::prelude::*;
-        let dir = std::env::temp_dir().join("carta_cli_retired_law_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("retired.json");
+        let dir = ScratchDir::new("repro_with_a_retired_law_is_an_invalid_request_not_a_violation");
+        let path = dir.path("retired.json");
         let repro = Repro {
             law: "retired-law".into(),
             seed: 3,
@@ -789,7 +673,6 @@ mod tests {
             2,
             "a bad law name is a request error, not a fuzz violation"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -9,3 +9,7 @@ pub mod args;
 pub mod commands;
 pub mod obs;
 pub mod render;
+
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod scratch;

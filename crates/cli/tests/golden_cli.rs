@@ -9,8 +9,11 @@
 //! Regenerate after an intentional output change with
 //! `CARTA_UPDATE_GOLDEN=1 cargo test -p carta-cli --test golden_cli`.
 
+mod common;
+
 use carta_cli::args::ParsedArgs;
 use carta_cli::commands::run;
+use common::ScratchDir;
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -151,13 +154,12 @@ fn cli_text_output_is_pinned() {
 /// still deterministic and pinned.
 #[test]
 fn cli_file_commands_are_pinned() {
-    let dir = std::env::temp_dir().join("carta_golden_cli");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let base = dir.join("base.csv");
+    let dir = ScratchDir::new("cli_file_commands_are_pinned");
+    let base = dir.path("base.csv");
     let csv =
         run(&ParsedArgs::parse(["generate", "--seed", "7"]).expect("parses")).expect("generates");
     std::fs::write(&base, &csv).expect("write");
-    let flooded = dir.join("flooded.csv");
+    let flooded = dir.path("flooded.csv");
     std::fs::write(&flooded, format!("{csv}flood,0x7fa,0,8,50,,,EMS,TCU\n")).expect("write");
 
     let base_s = base.to_str().expect("utf8");
@@ -165,5 +167,4 @@ fn cli_file_commands_are_pinned() {
     check("diff_self", &["diff", base_s, base_s, "--jobs", "1"]);
     check("diff_flood", &["diff", base_s, flooded_s, "--jobs", "1"]);
     check("analyze_degraded", &["analyze", flooded_s, "--jobs", "1"]);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,7 +3,10 @@
 //! `engine.jobs.env_invalid` counter) instead of a silent fallback,
 //! while valid values and the `--jobs` flag stay quiet.
 
+mod common;
+
 use carta_obs::json::{self, Value};
+use common::ScratchDir;
 use std::process::Command;
 
 fn run_analyze(env: Option<(&str, &str)>, extra: &[&str]) -> (bool, String) {
@@ -63,9 +66,8 @@ fn valid_jobs_env_and_explicit_flag_stay_quiet() {
 
 #[test]
 fn malformed_jobs_env_is_counted_in_metrics() {
-    let dir = std::env::temp_dir().join("carta_jobs_env_test");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("metrics.json");
+    let dir = ScratchDir::new("malformed_jobs_env_is_counted_in_metrics");
+    let path = dir.path("metrics.json");
     let output = Command::new(env!("CARGO_BIN_EXE_carta"))
         .args(["analyze", "-", "--metrics-json"])
         .arg(&path)
@@ -85,5 +87,4 @@ fn malformed_jobs_env_is_counted_in_metrics() {
         Some(1.0),
         "typed note missing from --metrics output"
     );
-    std::fs::remove_file(&path).ok();
 }

@@ -1,22 +1,18 @@
 //! End-to-end contract for the `--metrics-json` document: run the real
-//! `carta` binary and assert the `carta.metrics.v1` schema holds — the
-//! same validation the CI observability job performs.
+//! `carta` binary and assert the `carta.metrics.v1` schema holds.
+
+mod common;
 
 use carta_obs::json::{self, Value};
-use std::path::PathBuf;
+use common::ScratchDir;
+use std::path::Path;
 use std::process::Command;
 
 fn carta() -> Command {
     Command::new(env!("CARGO_BIN_EXE_carta"))
 }
 
-fn temp_file(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("carta_metrics_schema_test");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name)
-}
-
-fn run_with_metrics_json(args: &[&str], path: &PathBuf) -> Value {
+fn run_with_metrics_json(args: &[&str], path: &Path) -> Value {
     let output = carta()
         .args(args)
         .arg("--metrics-json")
@@ -34,7 +30,8 @@ fn run_with_metrics_json(args: &[&str], path: &PathBuf) -> Value {
 
 #[test]
 fn loss_metrics_document_has_required_keys() {
-    let path = temp_file("loss.json");
+    let dir = ScratchDir::new("loss_metrics_document_has_required_keys");
+    let path = dir.path("loss.json");
     let doc = run_with_metrics_json(&["loss", "-"], &path);
 
     assert_eq!(
@@ -89,13 +86,13 @@ fn loss_metrics_document_has_required_keys() {
             .unwrap_or_else(|| panic!("derived missing `{key}`"));
         assert!(v.is_finite() && v >= 0.0, "derived.{key} = {v}");
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn analyze_metrics_and_trace_round_trip() {
-    let json_path = temp_file("analyze.json");
-    let trace_path = temp_file("analyze-trace.jsonl");
+    let dir = ScratchDir::new("analyze_metrics_and_trace_round_trip");
+    let json_path = dir.path("analyze.json");
+    let trace_path = dir.path("analyze-trace.jsonl");
     let output = carta()
         .args(["analyze", "-", "--metrics"])
         .arg("--metrics-json")
@@ -130,8 +127,6 @@ fn analyze_metrics_and_trace_round_trip() {
         String::from_utf8_lossy(&replay.stdout).contains("rta.bus"),
         "replay misses rta.bus span"
     );
-    std::fs::remove_file(&json_path).ok();
-    std::fs::remove_file(&trace_path).ok();
 }
 
 /// The counters of `doc`'s `metrics` map (absent names read as `None`).
@@ -145,7 +140,8 @@ fn counter(doc: &Value, name: &str) -> Option<f64> {
 /// the invocation's registry.
 #[test]
 fn optimize_and_fuzz_report_their_own_counters() {
-    let path = temp_file("optimize.json");
+    let dir = ScratchDir::new("optimize_and_fuzz_report_their_own_counters");
+    let path = dir.path("optimize.json");
     let doc = run_with_metrics_json(
         &["optimize", "-", "--population", "8", "--generations", "2"],
         &path,
@@ -156,11 +152,9 @@ fn optimize_and_fuzz_report_their_own_counters() {
         counter(&doc, "engine.cache.misses").is_some_and(|m| m >= 1.0),
         "the GA's evaluator reports nothing"
     );
-    std::fs::remove_file(&path).ok();
 
-    let path = temp_file("fuzz.json");
+    let path = dir.path("fuzz.json");
     let doc = run_with_metrics_json(&["fuzz", "--cases", "1"], &path);
     assert_eq!(counter(&doc, "fuzz.laws"), Some(12.0));
     assert_eq!(counter(&doc, "fuzz.cases"), Some(12.0));
-    std::fs::remove_file(&path).ok();
 }

@@ -11,7 +11,7 @@
 use crate::spec::Datasheet;
 use carta_can::network::CanNetwork;
 use carta_core::analysis::AnalysisError;
-use carta_core::event_model::EventModel;
+use carta_explore::jitter::with_assumed_unknown_jitter;
 use carta_explore::scenario::Scenario;
 use std::collections::BTreeSet;
 
@@ -55,22 +55,14 @@ impl RefinementSession {
                 "assumed jitter ratio {assumed_ratio} must be in [0, 1]"
             )));
         }
-        let mut net = net.clone();
-        let mut assumed = BTreeSet::new();
-        for m in net.messages_mut() {
-            if m.activation.jitter().is_zero() {
-                let period = m.activation.period();
-                m.activation = EventModel::new(
-                    m.activation.kind(),
-                    period,
-                    period.scale(assumed_ratio),
-                    m.activation.dmin(),
-                );
-                assumed.insert(m.name.clone());
-            }
-        }
+        let assumed = net
+            .messages()
+            .iter()
+            .filter(|m| m.activation.jitter().is_zero())
+            .map(|m| m.name.clone())
+            .collect();
         let mut session = RefinementSession {
-            net,
+            net: with_assumed_unknown_jitter(net, assumed_ratio),
             scenario,
             assumed,
             history: Vec::new(),
@@ -143,6 +135,7 @@ mod tests {
     use carta_can::frame::Dlc;
     use carta_can::message::{CanId, CanMessage};
     use carta_can::network::Node;
+    use carta_core::event_model::EventModel;
     use carta_core::time::Time;
 
     fn net() -> CanNetwork {

@@ -444,21 +444,33 @@ mod tests {
         );
     }
 
+    /// Removes the file on drop: also when an assertion fails.
+    struct RemoveOnDrop(std::path::PathBuf);
+
+    impl Drop for RemoveOnDrop {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
     #[test]
     fn jsonl_sink_writes_lines() {
-        let path = std::env::temp_dir().join("carta-obs-jsonl-test.jsonl");
-        let sink: Arc<dyn SpanSink> = Arc::new(JsonlSink::create(&path).expect("create"));
+        let file = RemoveOnDrop(std::env::temp_dir().join(format!(
+            "carta-jsonl_sink_writes_lines-{}.jsonl",
+            std::process::id()
+        )));
+        let path = &file.0;
+        let sink: Arc<dyn SpanSink> = Arc::new(JsonlSink::create(path).expect("create"));
         let obs = Obs::new(None, Some(sink.clone()));
         {
             let _s = span!(obs, "file.span");
         }
         sink.flush();
-        let text = std::fs::read_to_string(&path).expect("read back");
+        let text = std::fs::read_to_string(path).expect("read back");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "enter + exit");
         for line in lines {
             parse(line).expect("each line is valid json");
         }
-        let _ = std::fs::remove_file(&path);
     }
 }
